@@ -18,9 +18,6 @@ appendix's ``run_*`` scripts, see :mod:`repro.harness.artifact`):
   with a bootstrap-CI regression gate (``--check``)
 * ``serve``    - the sweep-as-a-service HTTP server (admission
   control, deadlines, graceful SIGTERM drain; see docs/SERVICE.md)
-* ``fabric``   - the distributed sweep fabric: compile a grid to a
-  spec DAG and run it across N crash-tolerant worker processes
-  coordinated through a shared directory (see docs/FABRIC.md)
 """
 
 from __future__ import annotations
@@ -36,10 +33,10 @@ from .core.execution import ENGINES
 from .core.experiment import Experiment
 from .core.pipeline_model import interjob_speedup
 from .core.roofline import render_roofline, suite_roofline
-from .fabric.dag import STRUCTURES
-from .harness.executor import (ResultCache, SweepExecutor, default_cache_dir,
-                               default_jobs)
-from .harness.resilience import (RetryPolicy, SweepFailure, SweepJournal)
+from .harness.executor import (ResultCache, SweepExecutor, SweepStats,
+                               default_cache_dir, default_jobs)
+from .harness.resilience import (RetryPolicy, SweepFailure, SweepJournal,
+                                 SweepOutcome)
 from .harness.figures import (comparison_sweep, fig4_distributions,
                               fig5_stability, fig6_mega_breakdown,
                               fig7_micro, fig8_apps, fig9_instruction_mix,
@@ -153,21 +150,24 @@ EXIT_BASELINE = 4
 EXIT_INTERRUPTED = 130
 
 
-def _finish_sweep(text: str, executor: SweepExecutor):
+def _finish_sweep(text: str, executor: SweepExecutor,
+                  stats: Optional[SweepStats] = None,
+                  outcome: Optional[SweepOutcome] = None):
     """Append the timing + cache-stats summary to a command's output.
 
     Returns ``(text, exit_code)``: 0 when the sweep was complete, 3
     (:data:`EXIT_PARTIAL`) when cells are missing — their failure
     summary is appended so a partial table is never mistaken for a
-    complete one.
+    complete one. ``stats`` / ``outcome`` cover commands that ran
+    several sweeps; they default to the executor's most recent one.
     """
-    summary = executor.summary()
+    summary = (stats or executor.last).summary()
     if executor.cache is not None:
         stats = executor.cache.stats
         summary += (f" (cache: {stats.hits} hits / {stats.misses} misses, "
                     f"{executor.cache.root})")
     code = 0
-    outcome = executor.last_outcome
+    outcome = outcome or executor.last_outcome
     if outcome is not None and not outcome.complete:
         summary += "\n" + outcome.failure_summary()
         code = EXIT_PARTIAL
@@ -230,23 +230,23 @@ def _cmd_figure(args):
     iterations = args.iterations
     figure = args.id
     executor = _executor_from_args(args)
+    # Every seeded figure takes the same two sweep knobs.
+    sweep = {"base_seed": args.seed, "executor": executor}
     if figure == "4":
-        data = fig4_distributions(iterations=iterations, executor=executor)
+        data = fig4_distributions(iterations=iterations, **sweep)
         return _finish_sweep(
             render_fig5(fig5_stability(data)) +
             "\n(see benchmarks/bench_fig4_size_distributions.py for the "
             "full per-run dump)", executor)
     if figure == "5":
         return _finish_sweep(render_fig5(fig5_stability(
-            fig4_distributions(iterations=iterations, executor=executor))),
-            executor)
+            fig4_distributions(iterations=iterations, **sweep))), executor)
     if figure == "6":
         return _finish_sweep(render_fig6(fig6_mega_breakdown(
-            iterations=iterations, executor=executor)), executor)
+            iterations=iterations, **sweep)), executor)
     if figure in ("7", "7a", "7b"):
         size = SizeClass.LARGE if figure == "7a" else SizeClass.SUPER
-        comparisons = fig7_micro(size=size, iterations=iterations,
-                                 executor=executor)
+        comparisons = fig7_micro(size=size, iterations=iterations, **sweep)
         text = render_comparison(comparisons,
                                  f"Fig. 7: micro @ {size.label}")
         improvements = geomean_improvements(comparisons)
@@ -254,30 +254,30 @@ def _cmd_figure(args):
             f"{mode}={value:+.2f}%" for mode, value in improvements.items()),
             executor)
     if figure == "8":
-        comparisons = fig8_apps(iterations=iterations, executor=executor)
+        comparisons = fig8_apps(iterations=iterations, **sweep)
         return _finish_sweep(
             render_comparison(comparisons, "Fig. 8: applications @ super"),
             executor)
     if figure == "9":
         return _finish_sweep(render_counters(
-            fig9_instruction_mix(executor=executor),
+            fig9_instruction_mix(**sweep),
             ("control", "integer"), "Fig. 9"), executor)
     if figure == "10":
         return _finish_sweep(render_counters(
-            fig10_cache_miss(executor=executor),
+            fig10_cache_miss(**sweep),
             ("load_miss", "store_miss"), "Fig. 10"), executor)
     if figure == "11":
-        data = blocks_sensitivity(iterations=iterations, executor=executor)
+        data = blocks_sensitivity(iterations=iterations, **sweep)
         return _finish_sweep(
             render_sweep(normalized_sweep(data), "#blocks", "Fig. 11"),
             executor)
     if figure == "12":
-        data = threads_sensitivity(iterations=iterations, executor=executor)
+        data = threads_sensitivity(iterations=iterations, **sweep)
         return _finish_sweep(
             render_sweep(normalized_sweep(data, baseline_key=1024),
                          "#threads", "Fig. 12"), executor)
     if figure == "13":
-        data = carveout_sensitivity(iterations=iterations, executor=executor)
+        data = carveout_sensitivity(iterations=iterations, **sweep)
         return _finish_sweep(
             render_sweep(normalized_sweep(data, baseline_key=32),
                          "smem KB", "Fig. 13"), executor)
@@ -309,6 +309,8 @@ def _cmd_sweep(args):
     sizes = [SizeClass.from_label(label)
              for label in (args.sizes or ["super"])]
     pieces = []
+    stats: Optional[SweepStats] = None
+    outcomes = []
     for size in sizes:
         names = [name for name in workloads
                  if get_workload(name).supports(size)]
@@ -318,7 +320,12 @@ def _cmd_sweep(args):
                                        executor=executor)
         pieces.append(render_comparison(
             comparisons, f"sweep @ {size.label} ({args.iterations} runs)"))
-    return _finish_sweep("\n\n".join(pieces), executor)
+        # One sweep per size; the summary covers all of them.
+        last = executor.last
+        stats = last if stats is None else stats.merge(last)
+        outcomes.extend(executor.last_outcome.outcomes)
+    return _finish_sweep("\n\n".join(pieces), executor, stats,
+                         SweepOutcome(outcomes))
 
 
 def _compact_journal(args):
@@ -333,63 +340,6 @@ def _compact_journal(args):
         return f"no journal at {journal.path}; nothing to compact", 0
     stats = journal.compact()
     return f"{stats.summary()}\n  {journal.path}", 0
-
-
-def _specs_for_grid(args):
-    """Expand the (workloads x sizes x modes x iterations) spec grid."""
-    from .harness.executor import expand_grid
-    workloads = args.workloads or list(ALL_NAMES)
-    unknown = sorted(set(workloads) - set(ALL_NAMES))
-    if unknown:
-        raise SystemExit(f"unknown workloads: {', '.join(unknown)} "
-                         f"(see `repro list`)")
-    sizes = [label for label in (args.sizes or ["small"])]
-    return expand_grid(workloads, sizes, iterations=args.iterations,
-                       base_seed=args.seed)
-
-
-def _cmd_fabric(args):
-    """``repro fabric run|worker|status`` — see docs/FABRIC.md."""
-    from .fabric import FabricMeta, run_fabric
-    from .fabric.status import render_status
-    from .fabric.worker import main as worker_main
-    if args.fabric_command == "worker":
-        committed = worker_main(args.root, worker_id=args.id,
-                                max_nodes=args.max_nodes,
-                                deadline_s=args.deadline)
-        return f"[fabric] worker done: {committed} node(s) committed", 0
-    if args.fabric_command == "status":
-        try:
-            return render_status(args.root), 0
-        except FileNotFoundError as error:
-            raise SystemExit(str(error)) from error
-    if args.workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
-    specs = _specs_for_grid(args)
-    if not specs:
-        raise SystemExit("empty grid: no supported (workload, size) cells")
-    meta = FabricMeta(engine=args.engine, lease_s=args.lease,
-                      straggler_factor=args.straggler_factor)
-    try:
-        outcome = run_fabric(specs, args.root, workers=args.workers,
-                             structure=args.structure, meta=meta,
-                             timeout_s=args.timeout)
-    except ValueError as error:
-        raise SystemExit(str(error)) from error
-    stats = getattr(outcome, "fabric_stats", None)
-    counts = outcome.counts()
-    pieces = [f"[fabric] {len(outcome)} specs: "
-              + ", ".join(f"{counts[s]} {s}" for s in
-                          ("ok", "failed", "timed_out", "skipped")
-                          if counts[s])]
-    if stats is not None:
-        pieces.append(stats.summary())
-    pieces.append(render_status(args.root))
-    code = 0
-    if not outcome.complete:
-        pieces.append(outcome.failure_summary())
-        code = EXIT_PARTIAL
-    return "\n".join(pieces), code
 
 
 def _cmd_advise(args) -> str:
@@ -453,53 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=1234)
     sweep.add_argument("--compact-journal", action="store_true",
                        help="compact the sweep journal beside the result "
-                            "cache (drop superseded records and dead "
-                            "coordination chatter) and exit without "
-                            "sweeping")
+                            "cache (drop superseded records) and exit "
+                            "without sweeping")
     _add_executor_flags(sweep)
-
-    fabric = sub.add_parser(
-        "fabric",
-        help="distributed sweep fabric: compile a grid to a spec DAG "
-             "and run it across N crash-tolerant worker processes "
-             "(see docs/FABRIC.md)")
-    fabric_sub = fabric.add_subparsers(dest="fabric_command", required=True)
-    frun = fabric_sub.add_parser(
-        "run", help="compile a grid, spawn workers, collect results")
-    frun.add_argument("workloads", nargs="*",
-                      help="subset of workloads (default: all 21)")
-    frun.add_argument("--root", required=True,
-                      help="fabric directory (DAG manifest, journal, "
-                           "leases, result cache); one sweep per root")
-    frun.add_argument("--sizes", action="append", default=None,
-                      choices=[s.label for s in SizeClass.ordered()],
-                      help="size classes (repeatable; default: small)")
-    frun.add_argument("--iterations", type=int, default=10)
-    frun.add_argument("--seed", type=int, default=1234)
-    frun.add_argument("--workers", type=int, default=3,
-                      help="worker processes to spawn (default: 3)")
-    frun.add_argument("--structure", default="figure",
-                      choices=tuple(STRUCTURES),
-                      help="DAG compilation structure (default: figure)")
-    frun.add_argument("--engine", default="fast", choices=tuple(ENGINES))
-    frun.add_argument("--lease", type=float, default=5.0, metavar="S",
-                      help="lease heartbeat expiry (default: 5s)")
-    frun.add_argument("--straggler-factor", type=float, default=4.0,
-                      help="re-dispatch at N x group median runtime")
-    frun.add_argument("--timeout", type=float, default=None, metavar="S",
-                      help="abort the whole sweep after S seconds")
-    fworker = fabric_sub.add_parser(
-        "worker", help="join an existing fabric root as one worker")
-    fworker.add_argument("--root", required=True)
-    fworker.add_argument("--id", default=None,
-                         help="worker name (default: worker-<pid>)")
-    fworker.add_argument("--max-nodes", type=int, default=None,
-                         help="exit after committing N nodes")
-    fworker.add_argument("--deadline", type=float, default=None,
-                         metavar="S", help="exit after S seconds")
-    fstatus = fabric_sub.add_parser(
-        "status", help="render live journal + lease state of a root")
-    fstatus.add_argument("--root", required=True)
 
     advise = sub.add_parser("advise",
                             help="configuration recommendation "
@@ -688,11 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--breaker-recovery", type=int, default=3,
                        help="reference-engine successes before probing "
                             "the configured engine again")
-    serve.add_argument("--fabric-workers", type=int, default=0,
-                       help="hand each batch to the distributed fabric "
-                            "with N crash-tolerant worker processes "
-                            "instead of the in-process executor pool "
-                            "(0 = off; see docs/FABRIC.md)")
     return parser
 
 
@@ -866,8 +767,7 @@ def _cmd_serve(args):
             cache_dir=Path(args.cache_dir) if args.cache_dir else None,
             hot_capacity=args.hot_capacity, resume=args.resume,
             breaker_threshold=args.breaker_threshold,
-            breaker_recovery=args.breaker_recovery,
-            fabric_workers=args.fabric_workers)
+            breaker_recovery=args.breaker_recovery)
     except ValueError as error:
         raise SystemExit(str(error)) from error
     service = ReproService(config)
@@ -912,7 +812,6 @@ COMMANDS = {
     "compare": _cmd_compare,
     "figure": _cmd_figure,
     "sweep": _cmd_sweep,
-    "fabric": _cmd_fabric,
     "advise": _cmd_advise,
     "interjob": _cmd_interjob,
 }

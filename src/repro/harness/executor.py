@@ -348,8 +348,8 @@ class CacheStats:
 
     ``duplicates`` counts :meth:`ResultCache.put` calls that lost the
     first-commit-wins race: another writer (a concurrent sweep thread,
-    a fabric worker, a fenced zombie) published the entry first, so
-    this write committed nothing and is *not* a store.
+    or another service batch on the same cache) published the entry
+    first, so this write committed nothing and is *not* a store.
     """
 
     hits: int = 0
@@ -439,8 +439,8 @@ class ResultCache:
     def put(self, key: str, run: RunResult) -> bool:
         """Publish one record; first commit wins.
 
-        Two workers finishing the same spec concurrently (fabric
-        speculative re-dispatch, or plain thread races) must yield
+        Two writers finishing the same spec concurrently (sweep
+        threads, or overlapping service batches) must yield
         exactly one committed entry and one accounting: the record is
         written to a private temp file and *linked* into place —
         ``os.link`` fails with ``EEXIST`` when another writer already
@@ -633,11 +633,14 @@ class SweepStats:
     grid_specs: int = 0
     families_fused: int = 0
     families_rerouted: int = 0
-    #: reroute counts keyed by the classifier rule that fired
-    #: (``FamilyRerouted.rule``), plus ``"contention"`` for per-spec
-    #: ``ContentionDetected`` bails and ``"residual-guard"`` for fused
-    #: rows whose per-spec guards failed.
+    #: *family* reroute counts keyed by the classifier rule that fired
+    #: (``FamilyRerouted.rule``); they sum to ``families_rerouted``.
     reroute_rules: Dict[str, int] = field(default_factory=dict)
+    #: *spec* counts that left the grid replay, keyed by reason:
+    #: ``"contention"`` for per-spec ``ContentionDetected`` bails and
+    #: ``"residual-guard"`` for fused rows whose per-spec guards
+    #: failed (those re-replay per cell).
+    spec_fallbacks: Dict[str, int] = field(default_factory=dict)
 
     @property
     def phase_lookups(self) -> int:
@@ -662,11 +665,15 @@ class SweepStats:
                          f"({self.grid_groups} compiled groups)")
         if self.families_fused:
             parts.append(f"{self.families_fused} families fused")
-        if self.families_rerouted or self.reroute_rules:
-            rules = ", ".join(f"{rule}:{count}" for rule, count
-                              in sorted(self.reroute_rules.items()))
-            label = f"{self.families_rerouted} families rerouted"
-            parts.append(f"{label} ({rules})" if rules else label)
+        for unit, count, tally in (
+                ("families rerouted", self.families_rerouted,
+                 self.reroute_rules),
+                ("specs fell back", sum(self.spec_fallbacks.values()),
+                 self.spec_fallbacks)):
+            if count:
+                label = f"{count} {unit}"
+                parts.append(f"{label} ({_render_tally(tally)})" if tally
+                             else label)
         if self.executed and self.jobs > 1:
             parts.append(f"{self.jobs} {self.backend} workers")
         for label, count in (("failed", self.failed),
@@ -678,6 +685,38 @@ class SweepStats:
                 parts.append(f"{count} {label}")
         return "[sweep] " + ", ".join(parts)
 
+    def merge(self, other: "SweepStats") -> "SweepStats":
+        """One accounting for this sweep followed by ``other``.
+
+        Counts and times add, and the keyed tallies add per key.
+        ``jobs``, ``backend`` and ``engine`` describe the executor, so
+        they are taken from ``self``.
+        """
+        merged = dataclasses.replace(self)
+        for item in dataclasses.fields(self):
+            if item.name in ("jobs", "backend", "engine"):
+                continue
+            mine, theirs = getattr(self, item.name), getattr(other,
+                                                             item.name)
+            if isinstance(mine, dict):
+                total = dict(mine)
+                for key, count in theirs.items():
+                    _tally(total, key, count)
+                setattr(merged, item.name, total)
+            else:
+                setattr(merged, item.name, mine + theirs)
+        return merged
+
+
+def _tally(counts: Dict[str, int], key: str, count: int = 1) -> None:
+    """Add ``count`` to ``counts[key]``; a zero count adds no key."""
+    if count:
+        counts[key] = counts.get(key, 0) + count
+
+
+def _render_tally(tally: Dict[str, int]) -> str:
+    return ", ".join(f"{key}:{count}" for key, count in sorted(tally.items()))
+
 
 ProgressFn = Callable[[int, int, RunSpec], None]
 
@@ -685,17 +724,17 @@ ProgressFn = Callable[[int, int, RunSpec], None]
 def _axis_split(cell_map: Dict[Tuple, List["RunSpec"]]) -> List[List[Tuple]]:
     """Partition one family's coordinate cells into one-axis runs.
 
-    ``cell_map`` maps ``(coords, mode, carveout)`` group keys to their
-    member specs; all cells already share ``(workload, mode,
-    base_seed, seed_salt)``.  A fusable *axis run* varies along at
-    most one of the four sensitivity axes (size, blocks, threads,
+    ``cell_map`` maps ``(coords, mode, carveout, base_seed, seed_salt)``
+    group keys to their member specs; all cells already share
+    ``(workload, mode, base_seed, seed_salt)``.  A fusable *axis run*
+    varies along at most one of the four sensitivity axes (size, blocks, threads,
     carveout) — the shape of every figure sweep.  When several axes
     vary (a full-factorial grid), the most-varying axis fuses and the
     remaining coordinates split the family, so each run is still a
     single sensitivity axis.
     """
     def axes_of(group_key: Tuple) -> Tuple:
-        (coords, _mode, carveout) = group_key
+        (coords, _mode, carveout, *_) = group_key
         return (coords[1], coords[2], coords[3], carveout)
 
     items = list(cell_map.items())
@@ -803,8 +842,8 @@ class SweepExecutor:
         self._grid: Dict[RunSpec, RunResult] = {}
         self._grid_groups = 0
         self._families_fused = 0
-        self._families_rerouted = 0
         self._reroute_rules: Dict[str, int] = {}
+        self._spec_fallbacks: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def key_for(self, spec: RunSpec) -> str:
@@ -917,8 +956,7 @@ class SweepExecutor:
         return self.run_outcomes(specs, strict=True).results  # type: ignore[return-value]
 
     def run_outcomes(self, specs: Sequence[RunSpec],
-                     strict: Optional[bool] = None,
-                     fresh: bool = True) -> SweepOutcome:
+                     strict: Optional[bool] = None) -> SweepOutcome:
         """Execute every spec through the resilience layer.
 
         Returns a :class:`SweepOutcome` in spec order; failed,
@@ -928,11 +966,6 @@ class SweepExecutor:
         *permanent* failure raises :class:`SweepFailure`. Ctrl-C and
         SIGTERM checkpoint the journal and raise
         :class:`SweepInterrupted` carrying the partial outcome.
-
-        ``fresh=False`` keeps the attached journal's existing records
-        (no clear-on-start): :meth:`run_dag` executes one DAG layer at
-        a time through this method, and all layers of one sweep share
-        one checkpoint.
         """
         specs = list(specs)
         strict = self.strict if strict is None else strict
@@ -948,8 +981,8 @@ class SweepExecutor:
         self._grid = {}
         self._grid_groups = 0
         self._families_fused = 0
-        self._families_rerouted = 0
         self._reroute_rules = {}
+        self._spec_fallbacks = {}
         if ENGINES[self.engine].uses_phase_memo:
             # Bind the coordinator-side memo so serial and thread
             # sweeps report hit/miss deltas in the summary (process
@@ -983,7 +1016,7 @@ class SweepExecutor:
                             error=f"skipped on resume (journaled {status})",
                             key=keys[index]), outcomes, total, strict,
                             journal=False, store=False)
-            elif self.journal is not None and fresh:
+            elif self.journal is not None:
                 self.journal.clear()  # fresh sweep, fresh checkpoint
 
             # Cache pass.
@@ -1066,87 +1099,6 @@ class SweepExecutor:
                 except (ValueError, OSError):  # pragma: no cover
                     pass
         return self._finalize(specs, outcomes, started, "not scheduled")
-
-    def run_dag(self, dag, strict: Optional[bool] = None) -> SweepOutcome:
-        """Execute a compiled :class:`repro.fabric.SpecDAG` in-process.
-
-        This is the *serial reference semantics* of the distributed
-        fabric: nodes run layer by layer in the DAG's deterministic
-        topological order, a node never starting before every parent
-        finished. Prewarm nodes execute inline (program build + phase
-        memo batch-warm for their group); run nodes go through the
-        normal cache/retry/journal machinery. The returned
-        :class:`SweepOutcome` is ordered by the DAG's *run nodes* —
-        for a flat grid compiled with
-        :func:`repro.fabric.compile_grid`, that is node-for-node the
-        same sweep (and byte-identical results) as calling
-        :meth:`run_outcomes` on the original spec list.
-        """
-        dag.validate()
-        layers = dag.layers()
-        merged: List[Optional[SpecOutcome]] = [None] * dag.run_count
-        stats: List[SweepStats] = []
-        succeeded: set = set()  # node ids whose work committed
-        first = True
-        for layer in layers:
-            run_nodes = []
-            for node in layer:
-                if not node.is_run:
-                    self.prewarm([s for s in (node.prewarm_specs or ())])
-                    succeeded.add(node.node_id)
-                elif all(parent in succeeded for parent in node.parents):
-                    run_nodes.append(node)
-                else:
-                    # Same policy as the distributed fabric: a node
-                    # whose parent never committed is never dispatched
-                    # (a failed size-search probe does not fan out its
-                    # mode grid).
-                    merged[node.run_index] = SpecOutcome(
-                        spec=node.spec, index=node.run_index,
-                        status=SpecStatus.SKIPPED,
-                        error="skipped: parent node failed")
-            if not run_nodes:
-                continue
-            outcome = self.run_outcomes([node.spec for node in run_nodes],
-                                        strict=strict, fresh=first)
-            first = False
-            stats.append(self.last)
-            for node, spec_outcome in zip(run_nodes, outcome.outcomes):
-                if spec_outcome.ok:
-                    succeeded.add(node.node_id)
-                merged[node.run_index] = dataclasses.replace(
-                    spec_outcome, index=node.run_index)
-        filled = [outcome if outcome is not None else SpecOutcome(
-                      spec=dag.nodes[0].spec, index=position,
-                      status=SpecStatus.SKIPPED, error="not scheduled")
-                  for position, outcome in enumerate(merged)]
-        sweep = SweepOutcome(outcomes=filled)
-        if len(stats) > 1:
-            # Collapse the per-layer stats into one sweep's accounting.
-            total = SweepStats(jobs=self.jobs, backend=self.backend,
-                               engine=self.engine)
-            for layer_stats in stats:
-                total.total += layer_stats.total
-                total.cache_hits += layer_stats.cache_hits
-                total.executed += layer_stats.executed
-                total.elapsed_s += layer_stats.elapsed_s
-                total.failed += layer_stats.failed
-                total.timed_out += layer_stats.timed_out
-                total.skipped += layer_stats.skipped
-                total.retries += layer_stats.retries
-                total.crashes += layer_stats.crashes
-                total.phase_hits += layer_stats.phase_hits
-                total.phase_misses += layer_stats.phase_misses
-                total.grid_groups += layer_stats.grid_groups
-                total.grid_specs += layer_stats.grid_specs
-                total.families_fused += layer_stats.families_fused
-                total.families_rerouted += layer_stats.families_rerouted
-                for rule, count in layer_stats.reroute_rules.items():
-                    total.reroute_rules[rule] = (
-                        total.reroute_rules.get(rule, 0) + count)
-            self.last = total
-        self.last_outcome = sweep
-        return sweep
 
     def summary(self) -> str:
         return self.last.summary()
@@ -1232,8 +1184,9 @@ class SweepExecutor:
             phase_hits=phase_hits, phase_misses=phase_misses,
             grid_groups=self._grid_groups, grid_specs=len(self._grid),
             families_fused=self._families_fused,
-            families_rerouted=self._families_rerouted,
-            reroute_rules=dict(self._reroute_rules))
+            families_rerouted=sum(self._reroute_rules.values()),
+            reroute_rules=dict(self._reroute_rules),
+            spec_fallbacks=dict(self._spec_fallbacks))
         self.last_outcome = sweep
         return sweep
 
@@ -1267,9 +1220,9 @@ class SweepExecutor:
         Two tiers of batching feed ``self._grid``:
 
         * **Coordinate groups** (PR 7): specs sharing ``(coords, mode,
-          carveout)`` share one compiled tape; the phase memo is
-          batch-warmed across every group in one array program before
-          any compile runs.
+          carveout, base_seed, seed_salt)`` share one compiled tape;
+          the phase memo is batch-warmed across every group in one
+          array program before any compile runs.
         * **Families** (axis fusion, ``fuse=True``): coordinate groups
           sharing ``(workload, mode, base_seed, seed_salt)`` and
           varying along at most one sensitivity axis fuse into a
@@ -1282,8 +1235,9 @@ class SweepExecutor:
         contention bail, a compile error, an unsupported structure —
         falls back a tier (family -> per-cell -> per-spec path), so
         this method can only accelerate, never change, a sweep's
-        results.  Reroutes are tallied into ``self._reroute_rules``
-        for the ``[sweep]`` summary.
+        results.  Family reroutes are tallied into
+        ``self._reroute_rules`` and spec fallbacks into
+        ``self._spec_fallbacks`` for the ``[sweep]`` summary.
         """
         from ..core.execution import (compile_program, derive_compiled,
                                       iter_phase_cells,
@@ -1296,8 +1250,12 @@ class SweepExecutor:
         kernel_sim = memo.simulate if memo is not None else None
         groups: Dict[Tuple, List[RunSpec]] = {}
         for spec in specs:
+            # The seed coordinates belong in the key: fused replay
+            # shares one draw stream per iteration across a family, so
+            # a family must never span two seeds.
             group_key = (spec_coords(spec), spec.mode,
-                         spec.smem_carveout_bytes)
+                         spec.smem_carveout_bytes, spec.base_seed,
+                         spec.seed_salt)
             groups.setdefault(group_key, []).append(spec)
         try:
             if memo is not None:
@@ -1305,12 +1263,12 @@ class SweepExecutor:
                 # sweep will request, evaluated in a single vectorized
                 # pass before any compile runs.
                 cells: List[Tuple] = []
-                for (_, mode, carveout), members in groups.items():
+                for (_, mode, carveout, *_), members in groups.items():
                     cells.extend(iter_phase_cells(program_for(members[0]),
                                                   mode, carveout, system))
                 prewarm_phase_memo(memo, cells)
             if not self.fuse:
-                for (_, mode, carveout), members in groups.items():
+                for (_, mode, carveout, *_), members in groups.items():
                     program = program_for(members[0])
                     try:
                         compiled = compile_program(
@@ -1320,13 +1278,14 @@ class SweepExecutor:
                     except Exception:
                         continue  # per-spec path handles this group
                     self._grid_groups += 1
-                    self._replay_cells(compiled, members, system, calib)
+                    _tally(self._spec_fallbacks, "contention",
+                           self._replay_cells(compiled, members, system,
+                                              calib))
                 return
             families: Dict[Tuple, Dict[Tuple, List[RunSpec]]] = {}
             for group_key, members in groups.items():
-                spec0 = members[0]
-                fam_key = (spec0.workload, spec0.mode, spec0.base_seed,
-                           spec0.seed_salt)
+                (coords, mode, _, base_seed, seed_salt) = group_key
+                fam_key = (coords[0], mode, base_seed, seed_salt)
                 families.setdefault(fam_key, {})[group_key] = members
             for cell_map in families.values():
                 for run in _axis_split(cell_map):
@@ -1336,7 +1295,7 @@ class SweepExecutor:
                     fused_cells = []  # (group_key, members, compiled)
                     head = None       # (compiled, structure_key)
                     for group_key, members in run:
-                        (_, mode, carveout) = group_key
+                        (_, mode, carveout, *_) = group_key
                         program = program_for(members[0])
                         compiled = None
                         try:
@@ -1367,12 +1326,12 @@ class SweepExecutor:
                             fam = compile_family(
                                 [c for _, _, c in fused_cells], calib)
                         except FamilyRerouted as rerouted:
-                            self._families_rerouted += 1
-                            self._count_reroute(rerouted.rule)
+                            _tally(self._reroute_rules, rerouted.rule)
                     if fam is None:
                         for _, members, compiled in fused_cells:
-                            self._replay_cells(compiled, members,
-                                               system, calib)
+                            _tally(self._spec_fallbacks, "contention",
+                                   self._replay_cells(compiled, members,
+                                                      system, calib))
                         continue
                     self._families_fused += 1
                     self._replay_fused(fam, fused_cells, system, calib)
@@ -1382,15 +1341,17 @@ class SweepExecutor:
             self._grid.clear()
             self._grid_groups = 0
 
-    def _count_reroute(self, rule: str, count: int = 1) -> None:
-        self._reroute_rules[rule] = self._reroute_rules.get(rule, 0) + count
-
     def _replay_cells(self, compiled, members: Sequence[RunSpec],
-                      system, calib) -> None:
+                      system, calib) -> int:
         """Per-cell replay (the PR 7 path): one scalar replay per spec
-        from its coordinate group's compiled tape."""
+        from its coordinate group's compiled tape.
+
+        Returns how many specs bailed on contention; the per-spec path
+        re-routes those to the event engine.
+        """
         from ..core.execution import replay_result
         from ..sim.vecgrid import ContentionDetected
+        bailed = 0
         for spec in members:
             rng = rng_for_spec(spec)
             try:
@@ -1398,9 +1359,8 @@ class SweepExecutor:
                     compiled, spec.mode, rng, system, calib,
                     spec.size, spec.iteration)
             except ContentionDetected:
-                # Per-spec path re-routes to the event engine; make
-                # the reroute visible in the sweep summary.
-                self._count_reroute("contention")
+                bailed += 1
+        return bailed
 
     def _replay_fused(self, fam, fused_cells, system, calib) -> None:
         """One vectorized replay for a whole family's specs.
@@ -1512,8 +1472,9 @@ class SweepExecutor:
                     "alloc_ns": a, "memcpy_ns": m, "kernel_ns": k,
                     "wall_ns": w, "counters": counters,
                     "occupancy": occupancy, "gpu_busy_fraction": busy[i]})
-        if invalid:
-            self._count_reroute("residual-guard", invalid)
+        # Each invalid row counts once, under the reason it left the
+        # fused replay, whatever its per-cell re-replay did next.
+        _tally(self._spec_fallbacks, "residual-guard", invalid)
 
     def _execute_local(self, spec: RunSpec, attempt: int) -> RunResult:
         """One in-process attempt: grid-precomputed result, else cold.

@@ -44,19 +44,8 @@ KIND_CRASH = "crash"                 # SIGKILL the worker process
 KIND_CORRUPT_CACHE = "corrupt_cache"  # tear the cache write afterwards
 KIND_DELAY = "delay"                 # slow spec: sleep, then run normally
 KIND_FLAKY_IO = "flaky_io"           # transient cache *read* error
-KIND_WORKER_CRASH = "worker_crash"   # SIGKILL a fabric worker mid-lease
-KIND_LEASE_STALL = "lease_stall"     # straggler: stall while heartbeating
-KIND_PARTITION = "partition"         # zombie: compute on, heartbeats stop
 ALL_KINDS = (KIND_FAIL, KIND_HANG, KIND_CRASH, KIND_CORRUPT_CACHE,
-             KIND_DELAY, KIND_FLAKY_IO, KIND_WORKER_CRASH,
-             KIND_LEASE_STALL, KIND_PARTITION)
-
-#: Kinds interpreted only by the distributed-fabric worker loop
-#: (:mod:`repro.fabric.worker`): they key on the node's *fencing
-#: token* rather than the executor's attempt counter, and they never
-#: fire through :func:`maybe_fire` — a fabric fault must hit the
-#: lease protocol around the simulation, not the simulation itself.
-FABRIC_KINDS = (KIND_WORKER_CRASH, KIND_LEASE_STALL, KIND_PARTITION)
+             KIND_DELAY, KIND_FLAKY_IO)
 
 
 class InjectedFault(RuntimeError):
@@ -237,8 +226,7 @@ def maybe_fire(spec, attempt: int = 1) -> None:
     if plan is None:
         return
     fault = plan.match(spec, attempt)
-    if fault is None or fault.kind in (KIND_CORRUPT_CACHE, KIND_FLAKY_IO) \
-            or fault.kind in FABRIC_KINDS:
+    if fault is None or fault.kind in (KIND_CORRUPT_CACHE, KIND_FLAKY_IO):
         return
     if fault.kind == KIND_FAIL:
         raise InjectedFault(
@@ -253,35 +241,6 @@ def maybe_fire(spec, attempt: int = 1) -> None:
         return
     if fault.kind == KIND_CRASH:  # pragma: no cover - kills the process
         os.kill(os.getpid(), signal.SIGKILL)
-
-
-def fabric_fault(spec, token: int):
-    """The fabric fault (if any) scheduled for ``(spec, token)``.
-
-    Called by :class:`repro.fabric.worker.FabricWorker` right after it
-    wins a lease. The fencing token plays the role the attempt number
-    plays elsewhere: ``attempts=(1,)`` hits only the *first* claimant
-    of the node, so the speculative re-execution that follows a crash,
-    stall, or partition runs clean — which is exactly the recovery the
-    chaos tests want to observe.
-
-    Returns the matching :class:`Fault` (kind in :data:`FABRIC_KINDS`)
-    or ``None``; the worker interprets it:
-
-    * ``worker_crash`` — SIGKILL itself while holding the lease;
-    * ``lease_stall`` — sleep ``hang_s`` *while heartbeating* (a
-      straggler, not a corpse: only re-dispatch can rescue the node);
-    * ``partition`` — suppress heartbeats but keep computing (a
-      zombie: the lease expires, another worker re-claims, and the
-      zombie's late commit must lose the fence).
-    """
-    plan = active_plan()
-    if plan is None:
-        return None
-    for fault in plan.faults:
-        if fault.kind in FABRIC_KINDS and fault.matches(spec, token):
-            return fault
-    return None
 
 
 def should_corrupt_cache(spec) -> bool:

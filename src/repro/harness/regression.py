@@ -240,8 +240,9 @@ def measure_engine(engine: str, specs: Sequence,
     disabled — the per-cell replay leg of the axis-speedup gate.
 
     Besides the timing series, the sample dict carries a ``fusion``
-    section (family fused/reroute counts, per-rule reroute tallies)
-    from the executor's last cold sweep, so every ``BENCH_*.json``
+    section (family fused/reroute counts, per-rule family reroute
+    tallies, per-reason spec fallback counts) from the executor's last
+    cold sweep, so every ``BENCH_*.json``
     records *how* the vector engine earned its timings.
     """
     from .executor import SweepExecutor
@@ -262,7 +263,8 @@ def measure_engine(engine: str, specs: Sequence,
     return {"cold_s": cold, "warm_s": warm,
             "fusion": {"families_fused": stats.families_fused,
                        "families_rerouted": stats.families_rerouted,
-                       "reroute_rules": dict(stats.reroute_rules)}}
+                       "reroute_rules": dict(stats.reroute_rules),
+                       "spec_fallbacks": dict(stats.spec_fallbacks)}}
 
 
 def bench_environment() -> Dict:
@@ -626,9 +628,15 @@ def render_bench(payload: Dict) -> str:
             rules = ", ".join(
                 f"{rule}:{count}" for rule, count
                 in sorted(fusion.get("reroute_rules", {}).items()))
+            # Snapshots before the family/spec split lack the key.
+            fallbacks = fusion.get("spec_fallbacks") or {}
+            reasons = ", ".join(f"{reason}:{count}" for reason, count
+                                in sorted(fallbacks.items()))
             line += (f"   [{fusion['families_fused']} families fused, "
                      f"{fusion['families_rerouted']} rerouted"
-                     + (f" ({rules})" if rules else "") + "]")
+                     + (f" ({rules})" if rules else "")
+                     + (f"; {sum(fallbacks.values())} specs fell back "
+                        f"({reasons})" if fallbacks else "") + "]")
         lines.append(line)
     derived = payload.get("derived")
     if derived:

@@ -15,12 +15,7 @@ sweeps alive:
   rerun backs off identically bit-for-bit), per-spec wall-clock
   timeouts (process backend), and the poison-spec crash threshold;
 * :class:`SweepJournal` - an append-only JSONL checkpoint of terminal
-  spec keys next to the result cache, enabling ``--resume``. It
-  doubles as the *coordination log* of the distributed sweep fabric
-  (:mod:`repro.fabric`): :meth:`~SweepJournal.append_event` records
-  claim / renew / commit / abandon / redispatch / fenced events that
-  multiple worker processes append concurrently (one ``O_APPEND``
-  line each, so records never interleave), and
+  spec keys next to the result cache, enabling ``--resume``;
   :meth:`~SweepJournal.compact` rewrites a long-lived journal down to
   its live suffix atomically;
 * :class:`SweepFailure` / :class:`SweepInterrupted` - the strict-mode
@@ -377,10 +372,7 @@ class SweepJournal:
     def latest_entries(self) -> Dict[str, Dict]:
         """Latest full key-record per key (later lines win).
 
-        Coordination *events* (records without ``key``/``status``, see
-        :meth:`append_event`) are transparently skipped, so resume and
-        service readers see exactly the checkpoint view they always
-        did even on a journal the fabric also writes to.
+        Records without ``key``/``status`` are skipped.
         """
         entries: Dict[str, Dict] = {}
         for record in self._read_records():
@@ -388,32 +380,6 @@ class SweepJournal:
             if key and status:
                 entries[key] = record
         return entries
-
-    def events(self) -> List[Dict]:
-        """Coordination events, in append order.
-
-        An event is any record carrying an ``event`` field — the
-        fabric's claim / renew / commit / abandon / redispatch /
-        fenced protocol records. Commit records carry *both* views
-        (``event`` plus ``key``/``status``), so they show up here and
-        in :meth:`latest_entries`.
-        """
-        return [record for record in self._read_records()
-                if record.get("event")]
-
-    def append_event(self, event: str, **fields) -> None:
-        """Append one coordination-log event record.
-
-        Same durability contract as :meth:`record`: open-append-close
-        per line (plus fsync under ``durable``), and a single
-        ``write()`` in append mode so concurrent *processes* sharing
-        the journal never interleave bytes mid-line.
-        """
-        entry: Dict = {"event": str(event), "ts": time.time()}
-        for name, value in fields.items():
-            if value is not None:
-                entry[name] = value
-        self._append_line(entry)
 
     def load(self) -> Dict[str, str]:
         """Latest journaled status per key (later lines win)."""
@@ -426,8 +392,7 @@ class SweepJournal:
                 if status in TERMINAL_FAILURE_STATUSES}
 
     def record(self, key: str, status: Union[SpecStatus, str], spec=None,
-               attempts: int = 0, error: Optional[str] = None,
-               extra: Optional[Dict] = None) -> None:
+               attempts: int = 0, error: Optional[str] = None) -> None:
         status_value = (status.value if isinstance(status, SpecStatus)
                         else str(status))
         entry: Dict = {"key": key, "status": status_value,
@@ -449,11 +414,6 @@ class SweepJournal:
             }
         if error:
             entry["error"] = str(error)[:500]
-        if extra:
-            # Fabric commit records ride the key-record (one line
-            # serves the checkpoint view *and* the event view); the
-            # reserved fields above always win a collision.
-            entry = {**extra, **entry}
         self._append_line(entry)
 
     def _append_line(self, entry: Dict) -> None:
@@ -474,27 +434,14 @@ class SweepJournal:
     # ------------------------------------------------------------------
     # Compaction
     # ------------------------------------------------------------------
-    #: Event kinds folded away once their node has terminally resolved
-    #: (first commit wins; the claim/renew chatter behind it is dead).
-    _EPHEMERAL_EVENTS = ("claim", "renew", "redispatch", "fenced")
-
     def compact(self) -> CompactionStats:
         """Rewrite the journal down to its live suffix, atomically.
 
-        Resumed, re-keyed, and fabric-coordinated journals grow
-        without bound: every retry appends a fresh key-record, every
-        heartbeat a ``renew`` event. Compaction keeps exactly the
-        records a cold reader would still act on:
-
-        * the **latest** key-record per key (what :meth:`load` and
-          ``--resume`` already reduce to);
-        * the **first** ``commit`` event per node (first-commit-wins —
-          later duplicate commits are dropped);
-        * for *uncommitted* nodes only, the latest event per
-          ephemeral kind (``claim``/``renew``/``redispatch``/
-          ``fenced``) plus every ``abandon``, so in-flight lease state
-          stays diagnosable;
-        * any other event verbatim.
+        Resumed and re-keyed journals grow without bound: every retry
+        appends a fresh key-record. Compaction keeps exactly the
+        records a cold reader would still act on — the **latest**
+        key-record per key (what :meth:`load` and ``--resume`` already
+        reduce to), in append order.
 
         Damaged lines (torn tail, bit rot) are salvaged exactly as
         :meth:`load` salvages them — dropped, counted, logged — and do
@@ -512,51 +459,15 @@ class SweepJournal:
         stats.records_before = len(records)
         stats.salvaged = self.last_salvaged
 
-        latest_key: Dict[str, int] = {}       # key -> position of latest
-        committed_nodes = set()
-        first_commit: Dict[object, int] = {}  # node -> position of first
-        for position, record in enumerate(records):
+        latest: Dict[str, Dict] = {}
+        for record in records:
             key, status = record.get("key"), record.get("status")
             if key and status:
-                latest_key[key] = position
-            if record.get("event") == "commit" and "node" in record:
-                node = record["node"]
-                if node not in first_commit:
-                    first_commit[node] = position
-                committed_nodes.add(node)
+                latest.pop(key, None)  # re-insert: order by latest line
+                latest[key] = record
+        keep = list(latest.values())
 
-        keep: List[int] = []
-        latest_ephemeral: Dict[tuple, int] = {}
-        for position, record in enumerate(records):
-            event = record.get("event")
-            key = record.get("key")
-            if key and record.get("status"):
-                if latest_key[key] != position:
-                    continue  # superseded key-record
-                if event == "commit" and \
-                        first_commit.get(record.get("node")) != position:
-                    continue  # duplicate commit (lost first-commit-wins)
-                keep.append(position)
-                continue
-            if event is None:
-                continue  # undecipherable non-event record: drop
-            node = record.get("node")
-            if event == "commit":
-                if first_commit.get(node) == position:
-                    keep.append(position)
-                continue
-            if node is not None and node in committed_nodes \
-                    and event in self._EPHEMERAL_EVENTS:
-                continue  # dead chatter behind a committed node
-            if event in self._EPHEMERAL_EVENTS:
-                latest_ephemeral[(event, node)] = position
-                continue  # resolved after the scan
-            keep.append(position)
-        keep.extend(latest_ephemeral.values())
-        keep.sort()
-
-        payload = "".join(json.dumps(records[position]) + "\n"
-                          for position in keep)
+        payload = "".join(json.dumps(record) + "\n" for record in keep)
         tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
         with tmp.open("w") as stream:
             stream.write(payload)

@@ -95,20 +95,12 @@ class ServiceConfig:
     breaker_recovery: int = 3
     max_body_bytes: int = 4 * 1024 * 1024
     request_read_timeout_s: float = 10.0
-    #: > 0 hands every scheduler batch to the distributed fabric
-    #: (:func:`repro.fabric.run_fabric`) with this many worker
-    #: processes instead of an in-process executor pool; batches then
-    #: survive worker SIGKILLs and stragglers via lease recovery
-    #: (docs/FABRIC.md). 0 keeps the classic isolated-executor path.
-    fabric_workers: int = 0
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.fabric_workers < 0:
-            raise ValueError("fabric_workers must be >= 0")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be > 0")
         if self.default_deadline_s is not None \
@@ -172,12 +164,7 @@ class ReproService:
         journal is per-job, written by :meth:`_on_settle`); it shares
         the service's disk cache so results are content-addressed
         exactly as CLI sweeps write them.
-
-        With ``fabric_workers > 0`` the batch is handed to the
-        distributed fabric instead (:meth:`_execute_batch_fabric`).
         """
-        if self.config.fabric_workers > 0:
-            return self._execute_batch_fabric(specs, engine)
         executor = SweepExecutor(
             jobs=self.config.jobs, cache=self.disk_cache,
             backend=self.config.backend,
@@ -185,33 +172,6 @@ class ReproService:
                               timeout_s=self.config.timeout_s),
             engine=engine, isolate=True)
         return executor.run_outcomes(specs, strict=False)
-
-    def _execute_batch_fabric(self, specs: List[RunSpec],
-                              engine: str) -> SweepOutcome:
-        """One scheduler batch through the distributed sweep fabric.
-
-        Each batch gets its own fabric root under the service cache
-        directory, named by the batch's content (a root is one sweep,
-        forever) — a re-dispatched identical batch after a restart
-        reuses the same root and replays from its journal + cache.
-        Results are copied into the service disk cache afterwards
-        (``put`` is first-commit-wins, so double publishes are
-        harmless) to keep hot-cache refills and later CLI sweeps on
-        the usual content-addressed path.
-        """
-        import hashlib
-
-        from ..fabric import FabricMeta, run_fabric
-        keys = self._keys_for(specs)
-        digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()[:16]
-        root = self.cache_root / "fabric" / digest
-        outcome = run_fabric(
-            specs, root, workers=self.config.fabric_workers,
-            structure="figure", meta=FabricMeta(engine=engine))
-        for key, spec_outcome in zip(keys, outcome):
-            if spec_outcome.ok and spec_outcome.result is not None:
-                self.disk_cache.put(key, spec_outcome.result)
-        return outcome
 
     def _on_settle(self, job: SpecJob, outcome) -> None:
         """Scheduler settle hook: hot-cache fill + terminal journal."""

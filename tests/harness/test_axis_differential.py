@@ -168,6 +168,30 @@ class TestContendedFamilies:
         assert stats.families_fused == 0, stats.summary()
 
 
+class TestMixedSeedBatches:
+    def test_seeds_and_salts_never_share_a_family(self):
+        """One batch mixing base seeds and seed salts over the same
+        coordinates: fused replay draws one stream per iteration across
+        a family, so a family spanning two seeds would hand one seed's
+        draws to the other.  Fused, per-cell and the reference engine
+        must agree bitwise."""
+        specs = []
+        for base_seed, salt in ((1, ""), (2, ""), (2, ":sweep")):
+            specs += expand_grid(["vector_seq"], [SizeClass.SMALL],
+                                 iterations=2, base_seed=base_seed,
+                                 seed_salt=salt)
+            specs += expand_grid(["vector_seq"], [SizeClass.SMALL],
+                                 [TransferMode.UVM], iterations=2,
+                                 base_seed=base_seed, seed_salt=salt,
+                                 blocks=64, threads=256)
+        fused_exec, fused = sweep(specs, "vector", fuse=True)
+        _, per_cell = sweep(specs, "vector", fuse=False)
+        _, reference = sweep(specs, "reference")
+        assert fused == per_cell
+        assert fused == reference
+        assert fused_exec.last.families_fused == 3 * len(MODES) + 3
+
+
 # ----------------------------------------------------------------------
 # Hypothesis fuzz over random single-axis families
 # ----------------------------------------------------------------------

@@ -500,41 +500,6 @@ class TestCompaction:
         assert journal.load() == view_before
         assert journal.load() == {"k1": "ok", "k2": "failed"}
 
-    def test_first_commit_wins_duplicates_dropped(self, tmp_path):
-        journal = self._journal(tmp_path)
-        journal.append_event("commit", node=0, worker="w1", token=1,
-                             runtime_s=0.5)
-        journal.append_event("commit", node=0, worker="w2", token=2,
-                             runtime_s=0.7)  # zombie's late duplicate
-        journal.compact()
-        commits = [e for e in journal.events() if e["event"] == "commit"]
-        assert len(commits) == 1
-        assert commits[0]["worker"] == "w1"
-        assert commits[0]["token"] == 1
-
-    def test_ephemeral_chatter_folds_behind_commit(self, tmp_path):
-        journal = self._journal(tmp_path)
-        journal.append_event("claim", node=0, worker="w1", token=1)
-        for _ in range(20):
-            journal.append_event("renew", node=0, worker="w1", token=1)
-        journal.append_event("commit", node=0, worker="w1", token=1,
-                             runtime_s=0.1)
-        # An *uncommitted* node keeps its latest chatter and abandons.
-        journal.append_event("claim", node=1, worker="w2", token=1)
-        journal.append_event("renew", node=1, worker="w2", token=1)
-        journal.append_event("renew", node=1, worker="w2", token=1)
-        journal.append_event("abandon", node=1, worker="w2", token=1)
-        journal.append_event("claim", node=1, worker="w3", token=2)
-        stats = journal.compact()
-        events = journal.events()
-        node0 = [e for e in events if e.get("node") == 0]
-        assert [e["event"] for e in node0] == ["commit"]
-        node1 = [e["event"] for e in events if e.get("node") == 1]
-        assert node1.count("abandon") == 1  # abandons always kept
-        assert node1.count("claim") == 1    # only the latest claim
-        assert node1.count("renew") == 1    # only the latest renew
-        assert stats.records_after < stats.records_before
-
     def test_torn_tail_salvaged_during_compaction(self, tmp_path,
                                                   caplog):
         import logging
@@ -559,8 +524,8 @@ class TestCompaction:
         spec = self._spec()
         journal.record("k1", SpecStatus.OK, spec, attempts=2)
         journal.record("k1", SpecStatus.OK, spec, attempts=1)
-        journal.append_event("claim", node=0, worker="w1", token=1)
-        journal.append_event("commit", node=0, worker="w1", token=1)
+        journal.record("k2", SpecStatus.FAILED, spec, attempts=1,
+                       error="boom")
         journal.compact()
         first = journal.path.read_text()
         second_stats = journal.compact()

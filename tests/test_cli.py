@@ -64,6 +64,29 @@ class TestFigures:
         out = run_cli(capsys, "figure", "7a", "--iterations", "2")
         assert "large" in out
 
+    def test_figure_honours_seed(self, capsys):
+        from repro.harness.executor import SweepExecutor
+        from repro.harness.sensitivity import (normalized_sweep,
+                                               render_sweep,
+                                               threads_sensitivity)
+
+        def cli_table(*seed):
+            out = run_cli(capsys, "figure", "12", "--iterations", "2",
+                          "--no-cache", "--engine", "vector", *seed)
+            return out.split("\n[sweep]")[0]
+
+        def rendered(base_seed):
+            data = threads_sensitivity(
+                iterations=2, base_seed=base_seed,
+                executor=SweepExecutor(jobs=1, engine="vector"))
+            return render_sweep(normalized_sweep(data, baseline_key=1024),
+                                "#threads", "Fig. 12")
+
+        seeded = cli_table("--seed", "7")
+        assert seeded == rendered(7)
+        assert seeded != rendered(1234)
+        assert cli_table() == rendered(1234)  # the default is unchanged
+
 
 class TestSweep:
     def test_sweep_renders_comparison_and_summary(self, capsys, tmp_path):
@@ -106,6 +129,43 @@ class TestSweep:
             compare_row = next(line for line in compare_out.splitlines()
                                if line.startswith(mode_label))
             assert value in compare_row
+
+    def test_multi_size_summary_covers_every_size(self, capsys):
+        out = run_cli(capsys, "sweep", "saxpy", "--sizes", "tiny",
+                      "--sizes", "small", "--iterations", "2",
+                      "--no-cache")
+        assert "sweep @ tiny" in out and "sweep @ small" in out
+        assert "[sweep] 20 runs, 0 cache hits, 20 executed" in out
+
+    def test_multi_size_partial_in_an_early_size_exits_3(self, capsys):
+        from repro.harness import faults
+        plan = faults.FaultPlan(faults=(faults.Fault(
+            kind=faults.KIND_FAIL, workload="saxpy", size="tiny",
+            mode="standard", iteration=0),))
+        with faults.inject(plan):
+            code = main(["sweep", "saxpy", "--sizes", "tiny", "--sizes",
+                         "small", "--iterations", "2", "--no-cache"])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "[sweep] partial: 1 of 20 specs missing" in out
+
+    def test_residual_guard_fallbacks_count_specs_not_families(self,
+                                                              capsys):
+        """vector_seq @ mega fuses all five families; one fused row
+        fails its residual guard and re-replays per cell.  That is a
+        spec-level fallback, never a family reroute."""
+        import re
+        out = run_cli(capsys, "sweep", "vector_seq", "--sizes", "mega",
+                      "--iterations", "2", "--no-cache",
+                      "--engine", "vector")
+        line = next(line for line in out.splitlines()
+                    if line.startswith("[sweep]"))
+        assert re.fullmatch(
+            r"\[sweep\] 10 runs, 0 cache hits, 10 executed in "
+            r"\d+\.\d\ds, vector engine, phase memo \d+/\d+ hits "
+            r"\(\d+%\), 10 grid-replayed \(5 compiled groups\), "
+            r"5 families fused, 1 specs fell back \(residual-guard:1\)",
+            line), line
 
     def test_sweep_rejects_unknown_workload(self):
         with pytest.raises(SystemExit, match="quake3"):
@@ -415,3 +475,40 @@ class TestResilienceFlags:
     def test_resume_requires_the_cache(self):
         with pytest.raises(SystemExit, match="--resume needs"):
             main([*self.FIG6, "--resume"])
+
+
+class TestCompactJournalCLI:
+    """``repro sweep --compact-journal``."""
+
+    def test_compact_shrinks_and_preserves_resume_view(self, capsys,
+                                                       tmp_path,
+                                                       monkeypatch):
+        from repro.harness.resilience import SweepJournal
+        cache_root = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_root))
+        run_cli(capsys, "sweep", "vector_seq", "--sizes", "small",
+                "--iterations", "2")
+        journal = SweepJournal.beside(cache_root)
+        view_before = journal.load()
+        # Bloat the journal with superseded records: each key records
+        # an earlier failure, then its real status again.
+        for key, status in view_before.items():
+            journal.record(key, "failed", error="earlier attempt")
+            journal.record(key, status)
+        before = journal.path.stat().st_size
+        out = run_cli(capsys, "sweep", "--compact-journal")
+        assert "journal compacted" in out
+        assert f"{3 * len(view_before)} -> {len(view_before)} records" in out
+        assert journal.path.stat().st_size < before
+        assert journal.load() == view_before
+
+    def test_compact_without_journal_is_a_noop(self, capsys, tmp_path,
+                                               monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "empty"))
+        out = run_cli(capsys, "sweep", "--compact-journal")
+        assert "nothing to compact" in out
+
+    def test_compact_rejects_no_cache(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        with pytest.raises(SystemExit, match="result cache"):
+            main(["sweep", "--compact-journal", "--no-cache"])

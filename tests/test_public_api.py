@@ -5,7 +5,7 @@ import importlib
 import pytest
 
 PACKAGES = ["repro", "repro.sim", "repro.core", "repro.harness",
-            "repro.analysis", "repro.fabric",
+            "repro.analysis",
             "repro.workloads.darknet", "repro.workloads.rodinia",
             "repro.workloads.micro", "repro.workloads.uvmbench"]
 
