@@ -138,10 +138,10 @@ def main() -> None:
 
         _, _, stats = request(port, "GET", "/stats", timeout=10.0)
         print("server stats: "
+              f"engine={stats['engine']} "
               f"executed={stats['scheduler']['executed']} "
               f"dedup={stats['scheduler']['dedup_hits']} "
-              f"hot_hits={stats['hot_cache']['hits']} "
-              f"breaker={stats['scheduler']['breaker']['state']}")
+              f"hot_hits={stats['hot_cache']['hits']}")
     finally:
         if proc is not None:
             proc.send_signal(signal.SIGTERM)

@@ -33,11 +33,10 @@ from .core.execution import ENGINES
 from .core.experiment import Experiment
 from .core.pipeline_model import interjob_speedup
 from .core.roofline import render_roofline, suite_roofline
-from .harness.executor import (ResultCache, SweepExecutor, SweepStats,
+from .harness.executor import (ResultCache, SweepExecutor,
                                default_cache_dir, default_jobs)
-from .harness.resilience import (RetryPolicy, SweepFailure, SweepJournal,
-                                 SweepOutcome)
-from .harness.figures import (comparison_sweep, fig4_distributions,
+from .harness.resilience import RetryPolicy, SweepFailure, SweepJournal
+from .harness.figures import (comparison_sweeps, fig4_distributions,
                               fig5_stability, fig6_mega_breakdown,
                               fig7_micro, fig8_apps, fig9_instruction_mix,
                               fig10_cache_miss, geomean_improvements,
@@ -90,10 +89,10 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
                         help="fail fast: abort the sweep at the first "
                              "permanent cell failure (exit 1) instead of "
                              "rendering gaps (exit 3)")
-    parser.add_argument("--engine", default="reference",
+    parser.add_argument("--engine", default="vector",
                         choices=tuple(ENGINES),
                         help="simulation engine (bit-identical results, "
-                             "see docs/PERFORMANCE.md): "
+                             "see docs/PERFORMANCE.md; default: vector): "
                              + "; ".join(f"'{name}' {spec.summary}"
                                          for name, spec in ENGINES.items()))
 
@@ -135,7 +134,7 @@ def _executor_from_args(args) -> SweepExecutor:
                              progress=_progress_printer(), retry=retry,
                              journal=journal, resume=resume,
                              strict=getattr(args, "strict", False),
-                             engine=getattr(args, "engine", "reference"))
+                             engine=args.engine)
     except ValueError as error:
         raise SystemExit(str(error)) from error
 
@@ -150,24 +149,21 @@ EXIT_BASELINE = 4
 EXIT_INTERRUPTED = 130
 
 
-def _finish_sweep(text: str, executor: SweepExecutor,
-                  stats: Optional[SweepStats] = None,
-                  outcome: Optional[SweepOutcome] = None):
+def _finish_sweep(text: str, executor: SweepExecutor):
     """Append the timing + cache-stats summary to a command's output.
 
     Returns ``(text, exit_code)``: 0 when the sweep was complete, 3
     (:data:`EXIT_PARTIAL`) when cells are missing — their failure
     summary is appended so a partial table is never mistaken for a
-    complete one. ``stats`` / ``outcome`` cover commands that ran
-    several sweeps; they default to the executor's most recent one.
+    complete one.
     """
-    summary = (stats or executor.last).summary()
+    summary = executor.summary()
     if executor.cache is not None:
         stats = executor.cache.stats
         summary += (f" (cache: {stats.hits} hits / {stats.misses} misses, "
                     f"{executor.cache.root})")
     code = 0
-    outcome = outcome or executor.last_outcome
+    outcome = executor.last_outcome
     if outcome is not None and not outcome.complete:
         summary += "\n" + outcome.failure_summary()
         code = EXIT_PARTIAL
@@ -307,25 +303,16 @@ def _cmd_sweep(args):
         raise SystemExit(f"unknown workloads: {', '.join(unknown)} "
                          f"(see `repro list`)")
     sizes = [SizeClass.from_label(label)
-             for label in (args.sizes or ["super"])]
-    pieces = []
-    stats: Optional[SweepStats] = None
-    outcomes = []
-    for size in sizes:
-        names = [name for name in workloads
-                 if get_workload(name).supports(size)]
-        comparisons = comparison_sweep(names, size,
-                                       iterations=args.iterations,
-                                       base_seed=args.seed,
-                                       executor=executor)
-        pieces.append(render_comparison(
-            comparisons, f"sweep @ {size.label} ({args.iterations} runs)"))
-        # One sweep per size; the summary covers all of them.
-        last = executor.last
-        stats = last if stats is None else stats.merge(last)
-        outcomes.extend(executor.last_outcome.outcomes)
-    return _finish_sweep("\n\n".join(pieces), executor, stats,
-                         SweepOutcome(outcomes))
+             for label in dict.fromkeys(args.sizes or ["super"])]
+    # One executor pass over every size: the journal then holds the
+    # whole grid, so --resume skips failures in any size.
+    by_size = comparison_sweeps(workloads, sizes,
+                                iterations=args.iterations,
+                                base_seed=args.seed, executor=executor)
+    return _finish_sweep("\n\n".join(
+        render_comparison(by_size[size.label],
+                          f"sweep @ {size.label} ({args.iterations} runs)")
+        for size in sizes), executor)
 
 
 def _compact_journal(args):
@@ -529,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--engines", action="append",
                        choices=tuple(ENGINES), default=None,
                        help="engines to measure (repeatable; default: "
-                            "fast and vector)")
+                            "vector)")
     bench.add_argument("--results-dir", default=None, metavar="DIR",
                        help="trajectory directory (default: "
                             "benchmarks/results)")
@@ -549,11 +536,10 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("thread", "process"),
                        help="batch-executor backend (default: process — "
                             "required for crash/hang containment)")
-    serve.add_argument("--engine", default="reference",
+    serve.add_argument("--engine", default="vector",
                        choices=tuple(ENGINES),
-                       help="simulation engine; non-reference engines "
-                            "fall back to reference when the circuit "
-                            "breaker trips (results stay bit-identical)")
+                       help="simulation engine (bit-identical results; "
+                            "default: vector)")
     serve.add_argument("--slots", type=int, default=2,
                        help="concurrent executor batches (default: 2)")
     serve.add_argument("--batch-size", type=int, default=8,
@@ -588,12 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "during a SIGTERM drain (default: 30)")
     serve.add_argument("--hot-capacity", type=int, default=4096,
                        help="in-memory hot-cache entries (0 disables)")
-    serve.add_argument("--breaker-threshold", type=int, default=5,
-                       help="consecutive executed-spec failures that "
-                            "trip the engine circuit breaker")
-    serve.add_argument("--breaker-recovery", type=int, default=3,
-                       help="reference-engine successes before probing "
-                            "the configured engine again")
     return parser
 
 
@@ -765,9 +745,7 @@ def _cmd_serve(args):
             default_deadline_s=args.deadline,
             drain_grace_s=args.drain_grace,
             cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-            hot_capacity=args.hot_capacity, resume=args.resume,
-            breaker_threshold=args.breaker_threshold,
-            breaker_recovery=args.breaker_recovery)
+            hot_capacity=args.hot_capacity, resume=args.resume)
     except ValueError as error:
         raise SystemExit(str(error)) from error
     service = ReproService(config)

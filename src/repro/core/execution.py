@@ -44,34 +44,31 @@ UVM_USABLE_HBM_FRACTION = 0.95
 class EngineSpec:
     """One entry in the :data:`ENGINES` registry.
 
-    ``uses_phase_memo`` engines bind the process-local kernel-phase
-    memo (:func:`repro.sim.phasecache.phase_memo_for`); ``analytic``
-    engines replay programs without the event heap
-    (:class:`repro.sim.vecgrid.AnalyticRuntime`) and reroute to
-    ``fallback`` when the analytic contention classifier bails.
+    ``analytic`` engines replay programs without the event heap
+    (:class:`repro.sim.vecgrid.AnalyticRuntime`), bind the
+    process-local kernel-phase memo
+    (:func:`repro.sim.phasecache.phase_memo_for`), and reroute a run
+    to the ``reference`` event engine when the analytic contention
+    classifier bails.
     """
 
     name: str
     summary: str
-    uses_phase_memo: bool = False
     analytic: bool = False
-    fallback: Optional[str] = None
 
 
 #: The single source of truth for engine selection — consumed by
 #: ``cli.py`` (``--engine`` choices), ``SweepExecutor`` and
-#: :func:`execute_program`.  All engines are bit-identical; they differ
-#: only in how much event machinery they can prove unobservable.
+#: :func:`execute_program`.  Both engines are bit-identical: the
+#: event-by-event ``reference`` engine is the oracle ``vector`` is
+#: tested against and falls back to.
 ENGINES: Dict[str, EngineSpec] = {
     "reference": EngineSpec(
-        "reference", "event-by-event heap engine (the historical baseline)"),
-    "fast": EngineSpec(
-        "fast", "train-coalescing event engine + kernel-phase memo",
-        uses_phase_memo=True),
+        "reference", "event-by-event heap engine (the oracle)"),
     "vector": EngineSpec(
         "vector", "analytic array-program engine; grid-batched phases, "
-        "falls back to the event engine on cross-stream contention",
-        uses_phase_memo=True, analytic=True, fallback="fast"),
+        "falls back to the reference engine on cross-stream contention",
+        analytic=True),
 }
 
 
@@ -83,20 +80,6 @@ def engine_spec(engine: str) -> EngineSpec:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of "
             f"{', '.join(ENGINES)}") from None
-
-
-def make_environment(engine: str):
-    """Build the simulation environment for an *event* engine name."""
-    from ..sim.engine import Environment
-    spec = engine_spec(engine)
-    if spec.analytic:
-        raise ValueError(
-            f"engine {engine!r} is analytic and has no event environment; "
-            "build its runtime via make_runtime()")
-    if engine == "fast":
-        from ..sim.fastpath import FastEnvironment
-        return FastEnvironment()
-    return Environment()
 
 
 def make_runtime(engine: str, system: SystemSpec, calib: Calibration,
@@ -114,7 +97,6 @@ def make_runtime(engine: str, system: SystemSpec, calib: Calibration,
     return CudaRuntime(system, calib, rng,
                        footprint_bytes=footprint_bytes,
                        smem_carveout_bytes=smem_carveout_bytes,
-                       env=make_environment(engine),
                        kernel_sim=kernel_sim)
 
 
@@ -274,8 +256,7 @@ def execute_program(program: Program, mode: TransferMode, *,
     carveout, or an explicit allocation larger than HBM).
 
     ``engine`` selects the simulation engine (see :data:`ENGINES`);
-    both produce bit-identical results — ``fast`` merely skips event
-    machinery it can prove unobservable.  ``phase_memo`` optionally
+    both produce bit-identical results.  ``phase_memo`` optionally
     supplies a :class:`repro.sim.phasecache.PhaseMemo` whose
     ``simulate`` replaces ``simulate_kernel`` (pure function, so
     memoization is result-preserving by construction).
@@ -306,7 +287,7 @@ def execute_program(program: Program, mode: TransferMode, *,
             return _assemble_result(rt, program, mode, size_label, seed)
         vec_stats().fallbacks += 1
         rng.bit_generator.state = state
-        engine = spec.fallback or "reference"
+        engine = "reference"
     rt = _build_and_run(engine, program, mode, system, calib, rng,
                         smem_carveout_bytes, kernel_sim)
     return _assemble_result(rt, program, mode, size_label, seed)

@@ -9,7 +9,7 @@ of allocation, memcpy, and GPU-kernel time (Sec. 3.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..sim.counters import CounterReport
 from .configs import TransferMode
@@ -53,7 +53,7 @@ class RunResult:
         fields; it is adopted, not copied.
         """
         self = object.__new__(cls)
-        self.__dict__.update(fields)
+        object.__setattr__(self, "__dict__", fields)
         return self
 
     @property

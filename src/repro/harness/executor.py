@@ -569,10 +569,9 @@ def execute_spec(spec: RunSpec,
     byte-identical results.
 
     ``engine`` selects the simulation engine (:data:`ENGINES`).
-    Engines flagged ``uses_phase_memo`` additionally bind the
-    process-local kernel-phase memo
-    (:func:`repro.sim.phasecache.phase_memo_for`) — neither leg can
-    change results (the differential battery in
+    Analytic engines additionally bind the process-local kernel-phase
+    memo (:func:`repro.sim.phasecache.phase_memo_for`) — neither leg
+    can change results (the differential battery in
     ``tests/harness/test_differential.py`` pins this).
     """
     faults.maybe_fire(spec, attempt)
@@ -582,7 +581,7 @@ def execute_spec(spec: RunSpec,
     calib = calib or default_calibration()
     phase_memo = None
     info = ENGINES.get(engine)
-    if info is not None and info.uses_phase_memo:
+    if info is not None and info.analytic:
         from ..sim.phasecache import phase_memo_for
         phase_memo = phase_memo_for(system, calib)
     return execute_program(
@@ -601,12 +600,9 @@ def execute_spec(spec: RunSpec,
 def _execute_entry(entry: Tuple) -> RunResult:
     """Module-level worker so ProcessPoolExecutor can pickle it.
 
-    ``entry`` is ``(spec, system, calib, attempt[, engine])`` — the
-    engine element is optional for compatibility with callers of the
-    historical 4-tuple shape.
+    ``entry`` is ``(spec, system, calib, attempt, engine)``.
     """
-    spec, system, calib, attempt = entry[:4]
-    engine = entry[4] if len(entry) > 4 else "reference"
+    spec, system, calib, attempt, engine = entry
     return execute_spec(spec, system=system, calib=calib, attempt=attempt,
                         engine=engine)
 
@@ -684,28 +680,6 @@ class SweepStats:
             if count:
                 parts.append(f"{count} {label}")
         return "[sweep] " + ", ".join(parts)
-
-    def merge(self, other: "SweepStats") -> "SweepStats":
-        """One accounting for this sweep followed by ``other``.
-
-        Counts and times add, and the keyed tallies add per key.
-        ``jobs``, ``backend`` and ``engine`` describe the executor, so
-        they are taken from ``self``.
-        """
-        merged = dataclasses.replace(self)
-        for item in dataclasses.fields(self):
-            if item.name in ("jobs", "backend", "engine"):
-                continue
-            mine, theirs = getattr(self, item.name), getattr(other,
-                                                             item.name)
-            if isinstance(mine, dict):
-                total = dict(mine)
-                for key, count in theirs.items():
-                    _tally(total, key, count)
-                setattr(merged, item.name, total)
-            else:
-                setattr(merged, item.name, mine + theirs)
-        return merged
 
 
 def _tally(counts: Dict[str, int], key: str, count: int = 1) -> None:
@@ -983,7 +957,7 @@ class SweepExecutor:
         self._families_fused = 0
         self._reroute_rules = {}
         self._spec_fallbacks = {}
-        if ENGINES[self.engine].uses_phase_memo:
+        if ENGINES[self.engine].analytic:
             # Bind the coordinator-side memo so serial and thread
             # sweeps report hit/miss deltas in the summary (process
             # workers keep private memos the coordinator cannot see).

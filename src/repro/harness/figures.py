@@ -161,13 +161,32 @@ def comparison_sweep(workloads: Sequence[str], size: SizeClass,
     modes it has (renderers print ``-`` where normalization is
     impossible).
     """
-    specs = expand_grid(workloads, (size,), ALL_MODES,
+    return comparison_sweeps(workloads, (size,), iterations, base_seed,
+                             executor, skip_unsupported=False)[size.label]
+
+
+def comparison_sweeps(workloads: Sequence[str],
+                      sizes: Sequence[SizeClass],
+                      iterations: int = 30,
+                      base_seed: int = 1234,
+                      executor: Optional[SweepExecutor] = None,
+                      skip_unsupported: bool = True
+                      ) -> Dict[str, Dict[str, ModeComparison]]:
+    """:func:`comparison_sweep` for several sizes, keyed by size label.
+
+    Every size runs in one executor pass, so a journal attached to the
+    executor records the whole grid. Workloads that decline a size are
+    skipped there unless ``skip_unsupported`` is false.
+    """
+    specs = expand_grid(workloads, sizes, ALL_MODES,
                         iterations=iterations, base_seed=base_seed,
-                        skip_unsupported=False)
+                        skip_unsupported=skip_unsupported)
     results = _run_partial(executor, specs)
     comparisons = collect_comparisons(r for r in results if r is not None)
-    return {name: comparisons[(name, size.label)] for name in workloads
-            if (name, size.label) in comparisons}
+    return {size.label: {name: comparisons[(name, size.label)]
+                         for name in workloads
+                         if (name, size.label) in comparisons}
+            for size in sizes}
 
 
 def fig7_micro(size: SizeClass = SizeClass.SUPER, iterations: int = 30,

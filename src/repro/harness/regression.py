@@ -20,12 +20,15 @@ Two families of snapshot live here:
 
 from __future__ import annotations
 
+import gc
 import json
+import multiprocessing
 import platform
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -149,7 +152,7 @@ def compare_to_snapshot(path: Union[str, Path],
 BENCH_VERSION = 1
 BENCH_PREFIX = "BENCH_"
 #: Default engines on the trajectory; ``reference`` is opt-in (slow).
-DEFAULT_BENCH_ENGINES: Tuple[str, ...] = ("fast", "vector")
+DEFAULT_BENCH_ENGINES: Tuple[str, ...] = ("vector",)
 DEFAULT_BENCH_REPEATS = 5
 DEFAULT_BENCH_ITERATIONS = 10
 #: Where snapshots land, relative to the invocation root.
@@ -227,17 +230,13 @@ def _clear_sim_caches() -> None:
 
 
 def measure_engine(engine: str, specs: Sequence,
-                   repeats: int = DEFAULT_BENCH_REPEATS,
-                   fuse: bool = True) -> Dict:
+                   repeats: int = DEFAULT_BENCH_REPEATS) -> Dict:
     """Cold/warm wall-time samples for one engine over one spec list.
 
     Protocol: one untimed warm-up sweep (imports, allocator churn, the
     seed memo), then ``repeats`` x (clear sim caches -> timed cold
     sweep -> timed warm sweep).  No result cache and no journal: the
     samples time simulation, not disk.
-
-    ``fuse=False`` measures the vector engine with axis fusion
-    disabled — the per-cell replay leg of the axis-speedup gate.
 
     Besides the timing series, the sample dict carries a ``fusion``
     section (family fused/reroute counts, per-rule family reroute
@@ -246,7 +245,7 @@ def measure_engine(engine: str, specs: Sequence,
     records *how* the vector engine earned its timings.
     """
     from .executor import SweepExecutor
-    executor = SweepExecutor(jobs=1, engine=engine, fuse=fuse)
+    executor = SweepExecutor(jobs=1, engine=engine)
     _clear_sim_caches()
     executor.run(specs)  # warm-up, untimed
     cold: List[float] = []
@@ -260,11 +259,77 @@ def measure_engine(engine: str, specs: Sequence,
         started = time.perf_counter()
         executor.run(specs)
         warm.append(time.perf_counter() - started)
-    return {"cold_s": cold, "warm_s": warm,
-            "fusion": {"families_fused": stats.families_fused,
-                       "families_rerouted": stats.families_rerouted,
-                       "reroute_rules": dict(stats.reroute_rules),
-                       "spec_fallbacks": dict(stats.spec_fallbacks)}}
+    return {"cold_s": cold, "warm_s": warm, "fusion": _fusion(stats)}
+
+
+def _fusion(stats) -> Dict:
+    """The ``fusion`` section of one sweep's :class:`SweepStats`."""
+    return {"families_fused": stats.families_fused,
+            "families_rerouted": stats.families_rerouted,
+            "reroute_rules": dict(stats.reroute_rules),
+            "spec_fallbacks": dict(stats.spec_fallbacks)}
+
+
+def cold_cpu_samples(legs: Dict[str, Dict], specs: Sequence,
+                     repeats: int = DEFAULT_BENCH_REPEATS) -> Dict[str, Dict]:
+    """Interleaved cold-sweep CPU seconds for each named executor leg.
+
+    ``legs`` maps a leg name to :class:`SweepExecutor` keyword
+    arguments (every leg runs with ``jobs=1`` and no cache).  The
+    protocol of the ratio gates: one untimed warm-up sweep per leg,
+    then ``repeats`` rounds that each run every leg once, in order,
+    from cold simulation caches.  Each sweep is timed with process CPU
+    time (``time.process_time``), so a concurrent load that takes the
+    core away from one leg does not inflate it, and interleaving
+    exposes every leg to the same drift in machine state.  As in
+    :mod:`timeit`, garbage is collected before each timed sweep and
+    the collector is off during it, so no leg pays for the garbage of
+    the leg before it.  ``repro bench`` keeps its wall-clock protocol
+    (:func:`measure_engine`); these samples are only ever compared
+    with each other.
+
+    Returns, per leg, ``{"cpu_s": [...], "fusion": {...}}``; the fusion
+    section describes the leg's last cold sweep.
+    """
+    from .executor import SweepExecutor
+    executors = {name: SweepExecutor(jobs=1, **kwargs)
+                 for name, kwargs in legs.items()}
+    for executor in executors.values():
+        _clear_sim_caches()
+        executor.run(specs)  # warm-up, untimed
+    samples: Dict[str, List[float]] = {name: [] for name in executors}
+    collecting = gc.isenabled()
+    try:
+        for _ in range(repeats):
+            for name, executor in executors.items():
+                _clear_sim_caches()
+                gc.collect()
+                gc.disable()
+                started = time.process_time()
+                executor.run(specs)
+                samples[name].append(time.process_time() - started)
+                if collecting:
+                    gc.enable()
+    finally:
+        if collecting:
+            gc.enable()
+    return {name: {"cpu_s": samples[name],
+                   "fusion": _fusion(executor.last)}
+            for name, executor in executors.items()}
+
+
+def in_fresh_interpreter(fn: Callable, *args, **kwargs):
+    """``fn(*args, **kwargs)`` evaluated in a newly spawned interpreter.
+
+    The ratio gates measure there.  A user's ``repro figure`` runs in a
+    fresh process, while a test session's process carries the heap of
+    every earlier test; on a 2-vCPU box that slowed the fused replay
+    leg ~15% and the per-cell leg not at all.  ``fn`` must be a
+    module-level function and its result picklable.
+    """
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        return pool.submit(fn, *args, **kwargs).result()
 
 
 def bench_environment() -> Dict:
@@ -318,14 +383,14 @@ def collect_bench(engines: Sequence[str] = DEFAULT_BENCH_ENGINES,
     for engine in engines:
         payload["engines"][engine] = measure_engine(engine, specs,
                                                     repeats=repeats)
-    if "fast" in payload["engines"] and "vector" in payload["engines"]:
-        fast = payload["engines"]["fast"]
+    if "reference" in payload["engines"] and "vector" in payload["engines"]:
+        reference = payload["engines"]["reference"]
         vector = payload["engines"]["vector"]
         payload["derived"] = {
             "vector_speedup_cold":
-                _mean(fast["cold_s"]) / _mean(vector["cold_s"]),
+                _mean(reference["cold_s"]) / _mean(vector["cold_s"]),
             "vector_speedup_warm":
-                _mean(fast["warm_s"]) / _mean(vector["warm_s"]),
+                _mean(reference["warm_s"]) / _mean(vector["warm_s"]),
         }
     return payload
 
@@ -373,8 +438,8 @@ class AxisSpeedup:
             f"axis-fusion speedup gate (cold {self.grid} grid, vector "
             "engine:",
             f"fused family replay vs per-cell replay; {self.specs} specs,",
-            f"{self.iterations} iterations; best of {self.repeats}; "
-            "jobs=1, no cache)",
+            f"{self.iterations} iterations; best of {self.repeats} "
+            "interleaved; process CPU time; jobs=1, no cache)",
             "",
             f"specs:            {self.specs}",
             f"families fused:   {self.fusion.get('families_fused', 0)}"
@@ -394,21 +459,23 @@ def measure_axis_speedup(iterations: int = AXIS_GATE_ITERATIONS,
                          grid: str = DEFAULT_BENCH_GRID) -> AxisSpeedup:
     """A/B the vector engine against itself with fusion disabled.
 
-    Both legs run the identical cold protocol
-    (:func:`measure_engine`); the only difference is the executor's
+    Both legs run the interleaved cold CPU-time protocol
+    (:func:`cold_cpu_samples`); the only difference is the executor's
     ``fuse`` flag, so the ratio isolates exactly what axis fusion
-    buys over PR 7's per-cell replay.  Results are bit-identical
-    between the legs (pinned by the differential battery), so this is
-    a pure perf comparison.
+    buys over per-cell replay.  Results are bit-identical between the
+    legs (pinned by the differential battery), so this is a pure perf
+    comparison.
     """
     specs = bench_grid_specs(iterations=iterations, base_seed=base_seed,
                              grid=grid)
-    fused = measure_engine("vector", specs, repeats=repeats, fuse=True)
-    unfused = measure_engine("vector", specs, repeats=repeats, fuse=False)
+    legs = cold_cpu_samples(
+        {"fused": {"engine": "vector"},
+         "per_cell": {"engine": "vector", "fuse": False}},
+        specs, repeats=repeats)
     return AxisSpeedup(grid=grid, specs=len(specs), iterations=iterations,
-                       repeats=repeats, fused_s=fused["cold_s"],
-                       unfused_s=unfused["cold_s"],
-                       fusion=fused["fusion"])
+                       repeats=repeats, fused_s=legs["fused"]["cpu_s"],
+                       unfused_s=legs["per_cell"]["cpu_s"],
+                       fusion=legs["fused"]["fusion"])
 
 
 def validate_bench(payload: Dict) -> None:
@@ -593,6 +660,10 @@ def compare_bench(current: Dict, baseline: Dict,
         report.notes.append(
             "note: bench grids differ; legs compare only where both "
             "snapshots measured the same engine")
+    for engine in sorted(set(baseline["engines"])
+                         - set(current["engines"])):
+        report.notes.append(f"note: baseline engine {engine!r} was not "
+                            "measured; skipped")
     for engine, samples in sorted(current["engines"].items()):
         reference = baseline["engines"].get(engine)
         if reference is None:
@@ -640,7 +711,7 @@ def render_bench(payload: Dict) -> str:
         lines.append(line)
     derived = payload.get("derived")
     if derived:
-        lines.append(f"  vector speedup vs fast: "
+        lines.append(f"  vector speedup vs reference: "
                      f"{derived['vector_speedup_cold']:.1f}x cold, "
                      f"{derived['vector_speedup_warm']:.1f}x warm")
     return "\n".join(lines)

@@ -100,10 +100,10 @@ class SpecOutcome:
         default handling.  Field set must mirror the dataclass.
         """
         self = cls.__new__(cls)
-        self.__dict__.update(
-            spec=spec, index=index, status=SpecStatus.OK, result=result,
-            error=None, traceback=None, attempts=1, crashes=0,
-            from_cache=False, key=key)
+        self.__dict__ = {
+            "spec": spec, "index": index, "status": SpecStatus.OK,
+            "result": result, "error": None, "traceback": None,
+            "attempts": 1, "crashes": 0, "from_cache": False, "key": key}
         return self
 
     def describe(self) -> str:

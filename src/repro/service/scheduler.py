@@ -17,12 +17,7 @@ Failure containment is layered:
   surfaces as a non-ok :class:`~repro.harness.resilience.SpecOutcome`;
 * a batch whose executor call itself raises settles *its own* jobs as
   failed and nothing else — the loop, the other batches, and the
-  server stay up;
-* repeated executed-spec failures on the fast/vector engines trip the
-  :class:`CircuitBreaker`, which falls the service back to the
-  reference engine (bit-identical results, no phase memo / analytic
-  machinery in the blast radius) until enough fallback successes argue
-  for re-closing.
+  server stay up.
 """
 
 from __future__ import annotations
@@ -36,86 +31,6 @@ from typing import Callable, Deque, Dict, List, Optional, Set
 from ..harness.resilience import SpecOutcome, SpecStatus, SweepOutcome
 
 logger = logging.getLogger(__name__)
-
-
-# ----------------------------------------------------------------------
-# Circuit breaker
-# ----------------------------------------------------------------------
-class CircuitBreaker:
-    """Trips from the configured engine to ``reference`` on failures.
-
-    States: ``closed`` (configured engine), ``open`` (reference
-    fallback), ``half_open`` (probing the configured engine again).
-    Transitions count *executed* spec outcomes only — cache hits say
-    nothing about engine health. With ``engine="reference"`` the
-    breaker is inert (there is nothing to fall back to).
-    """
-
-    def __init__(self, engine: str, threshold: int = 5, recovery: int = 3):
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        if recovery < 1:
-            raise ValueError("recovery must be >= 1")
-        self.configured = engine
-        self.threshold = threshold
-        self.recovery = recovery
-        self.state = "closed"
-        self.consecutive_failures = 0
-        self.fallback_successes = 0
-        self.trips = 0
-
-    @property
-    def active(self) -> bool:
-        return self.configured != "reference"
-
-    def select(self) -> str:
-        """The engine the next batch should run on."""
-        if not self.active or self.state in ("closed", "half_open"):
-            return self.configured
-        return "reference"
-
-    def record(self, outcome: SpecOutcome) -> None:
-        """Feed one executed spec outcome into the state machine."""
-        if not self.active or outcome.from_cache \
-                or outcome.status is SpecStatus.SKIPPED:
-            return
-        failed = outcome.status is not SpecStatus.OK
-        if self.state == "closed":
-            if failed:
-                self.consecutive_failures += 1
-                if self.consecutive_failures >= self.threshold:
-                    self._trip()
-            else:
-                self.consecutive_failures = 0
-        elif self.state == "half_open":
-            if failed:
-                self._trip()
-            else:
-                self.state = "closed"
-                self.consecutive_failures = 0
-                logger.info("circuit breaker closed: %s engine healthy "
-                            "again", self.configured)
-        else:  # open: running on reference
-            if not failed:
-                self.fallback_successes += 1
-                if self.fallback_successes >= self.recovery:
-                    self.state = "half_open"
-
-    def _trip(self) -> None:
-        self.state = "open"
-        self.trips += 1
-        self.fallback_successes = 0
-        self.consecutive_failures = 0
-        logger.warning(
-            "circuit breaker open: %s engine erroring; falling back to "
-            "the reference engine (results stay bit-identical)",
-            self.configured)
-
-    def snapshot(self) -> Dict:
-        return {"state": self.state, "configured": self.configured,
-                "serving": self.select(), "trips": self.trips,
-                "consecutive_failures": self.consecutive_failures,
-                "fallback_successes": self.fallback_successes}
 
 
 # ----------------------------------------------------------------------
@@ -156,21 +71,20 @@ class SchedulerStats:
     batch_errors: int = 0
 
 
-ExecuteBatch = Callable[[List, str], SweepOutcome]
+ExecuteBatch = Callable[[List], SweepOutcome]
 SettleHook = Callable[[SpecJob, SpecOutcome], None]
 
 
 class FairShareScheduler:
     """Round-robin-over-tenants batch scheduler with in-flight dedup.
 
-    ``execute_batch(specs, engine)`` is the blocking bridge into the
+    ``execute_batch(specs)`` is the blocking bridge into the
     sweep executor; it runs in a thread pool of ``slots`` workers, so
     at most ``slots`` batches execute concurrently. Everything else —
     submit, batch assembly, settlement — happens on the event loop.
     """
 
     def __init__(self, execute_batch: ExecuteBatch,
-                 breaker: Optional[CircuitBreaker] = None,
                  batch_size: int = 8, slots: int = 2,
                  on_settle: Optional[SettleHook] = None):
         if batch_size < 1:
@@ -178,7 +92,6 @@ class FairShareScheduler:
         if slots < 1:
             raise ValueError("slots must be >= 1")
         self.execute_batch = execute_batch
-        self.breaker = breaker or CircuitBreaker("reference")
         self.batch_size = batch_size
         self.slots = slots
         self.on_settle = on_settle
@@ -305,13 +218,12 @@ class FairShareScheduler:
             self._idle.set()
 
     async def _run_batch(self, jobs: List[SpecJob]) -> None:
-        engine = self.breaker.select()
         self.stats.batches += 1
         loop = asyncio.get_running_loop()
         specs = [job.spec for job in jobs]
         try:
             outcome = await loop.run_in_executor(
-                None, self.execute_batch, specs, engine)
+                None, self.execute_batch, specs)
             outcomes = list(outcome.outcomes)
             if len(outcomes) != len(jobs):  # defensive: torn batch
                 raise RuntimeError(
@@ -324,23 +236,22 @@ class FairShareScheduler:
             self.stats.batch_errors += 1
             logger.exception("batch of %d specs failed wholesale", len(jobs))
             for job in jobs:
-                self.breaker.record(self._settle(job, SpecOutcome(
+                self._settle(job, SpecOutcome(
                     spec=job.spec, index=0, status=SpecStatus.FAILED,
                     error=f"batch execution error: "
                           f"{type(error).__name__}: {error}",
-                    key=job.key)))
+                    key=job.key))
         else:
             for job, spec_outcome in zip(jobs, outcomes):
                 self.stats.executed += 1
-                self.breaker.record(
-                    self._settle(job, spec_outcome))
+                self._settle(job, spec_outcome)
         finally:
             self._free_slots += 1
             if self.queued_jobs() == 0 and self._free_slots == self.slots:
                 self._idle.set()
             self.pump()
 
-    def _settle(self, job: SpecJob, outcome: SpecOutcome) -> SpecOutcome:
+    def _settle(self, job: SpecJob, outcome: SpecOutcome) -> None:
         if outcome.status is SpecStatus.OK:
             self.stats.settled_ok += 1
         elif not job.cancelled:
@@ -353,7 +264,6 @@ class FairShareScheduler:
                 self.on_settle(job, outcome)
             except Exception:  # pragma: no cover - hook bugs stay local
                 logger.exception("on_settle hook failed for %s", job.key)
-        return outcome
 
     # ------------------------------------------------------------------
     # Drain
@@ -411,5 +321,4 @@ class FairShareScheduler:
             "settled_failed": self.stats.settled_failed,
             "cancelled": self.stats.cancelled,
             "batch_errors": self.stats.batch_errors,
-            "breaker": self.breaker.snapshot(),
         }

@@ -11,7 +11,7 @@ long-running, multi-tenant service:
   :class:`~repro.harness.executor.SweepExecutor`;
 * ``GET /healthz`` - liveness (always 200 while the process serves);
 * ``GET /readyz``  - readiness (503 once draining);
-* ``GET /stats``   - admission / scheduler / cache counters.
+* ``GET /stats``   - engine plus admission / scheduler / cache counters.
 
 Responses mirror the CLI's exit-code semantics: a fully satisfied
 request returns 200, a partial one (deadline expiry, failed specs,
@@ -42,7 +42,7 @@ from ..harness.store import run_to_record
 from .admission import (AdmissionController, AdmissionLimits,
                         AdmissionRejected)
 from .hotcache import HotCache
-from .scheduler import CircuitBreaker, FairShareScheduler, SpecJob
+from .scheduler import FairShareScheduler, SpecJob
 
 logger = logging.getLogger(__name__)
 
@@ -78,7 +78,7 @@ class ServiceConfig:
     #: concurrent batches, up to ``batch_size`` specs per batch.
     jobs: int = 1
     backend: str = "process"
-    engine: str = "reference"
+    engine: str = "vector"
     slots: int = 2
     batch_size: int = 8
     retries: int = 1
@@ -91,8 +91,6 @@ class ServiceConfig:
     cache_dir: Optional[Path] = None
     hot_capacity: int = 4096
     resume: bool = False
-    breaker_threshold: int = 5
-    breaker_recovery: int = 3
     max_body_bytes: int = 4 * 1024 * 1024
     request_read_timeout_s: float = 10.0
 
@@ -135,13 +133,9 @@ class ReproService:
         self.admission = AdmissionController(self.config.limits)
         self.journal = SweepJournal(self.cache_root / SERVICE_JOURNAL,
                                     durable=True)
-        self.breaker = CircuitBreaker(self.config.engine,
-                                      threshold=self.config.breaker_threshold,
-                                      recovery=self.config.breaker_recovery)
         self.scheduler = FairShareScheduler(
-            self._execute_batch, breaker=self.breaker,
-            batch_size=self.config.batch_size, slots=self.config.slots,
-            on_settle=self._on_settle)
+            self._execute_batch, batch_size=self.config.batch_size,
+            slots=self.config.slots, on_settle=self._on_settle)
         self.draining = False
         self.requests = 0
         self.port: Optional[int] = None
@@ -154,8 +148,7 @@ class ReproService:
     # ------------------------------------------------------------------
     # Backend bridge (runs in a worker thread)
     # ------------------------------------------------------------------
-    def _execute_batch(self, specs: List[RunSpec],
-                       engine: str) -> SweepOutcome:
+    def _execute_batch(self, specs: List[RunSpec]) -> SweepOutcome:
         """One scheduler batch through a fresh, isolated executor.
 
         ``isolate=True`` forces the pool path even for a one-spec
@@ -170,7 +163,7 @@ class ReproService:
             backend=self.config.backend,
             retry=RetryPolicy(retries=self.config.retries,
                               timeout_s=self.config.timeout_s),
-            engine=engine, isolate=True)
+            engine=self.config.engine, isolate=True)
         return executor.run_outcomes(specs, strict=False)
 
     def _on_settle(self, job: SpecJob, outcome) -> None:
@@ -443,7 +436,7 @@ class ReproService:
             "counts": counts,
             "deadline_expired": bool(expired),
             "elapsed_s": round(time.monotonic() - started, 6),
-            "engine": self.breaker.select(),
+            "engine": self.config.engine,
             "specs": entries,
         }
         # 200 iff every spec is ok — 206 is the HTTP spelling of the
@@ -522,6 +515,7 @@ class ReproService:
     def snapshot(self) -> Dict:
         return {
             "draining": self.draining,
+            "engine": self.config.engine,
             "sweep_requests": self.requests,
             "admission": self.admission.snapshot(),
             "scheduler": self.scheduler.snapshot(),

@@ -28,9 +28,9 @@ event-engine runs into a handful of array programs:
   are identical to Python's), so each lane is **bit-identical** to
   :func:`repro.sim.timing.simulate_kernel` — pinned element-wise by
   ``tests/sim/test_vecgrid_properties.py`` and end-to-end by the
-  three-way differential battery.
+  differential battery.
 
-Results are bit-identical to the ``fast`` engine per the PR 4
+Results are bit-identical to the ``reference`` event engine per the
 differential contract; the classifier only ever changes *how fast* an
 answer is produced, never the answer.
 """
@@ -740,7 +740,7 @@ def replay_compiled(compiled: CompiledProgram, rng: np.random.Generator,
     """One spec's measurements from a compiled program.
 
     Bit-identical to running the spec through :class:`AnalyticRuntime`
-    (and therefore to the event engines): identical draw order —
+    (and therefore to the event engine): identical draw order —
     placement first, then batched standard normals consumed in op order
     (``rng.standard_normal(n)`` yields the same stream as ``n`` scalar
     draws, ``lognormal(0, s)`` equals ``exp(s*z)`` and ``normal(0, s)``

@@ -6,9 +6,8 @@ array program, gated by a family-level classifier that proves the
 entire family uncontended from one representative cell.  The contract
 is the same as every other engine shortcut in this repo: **bitwise**
 equality, no tolerances — a fused sweep must be indistinguishable from
-PR 7's per-cell vector replay (``SweepExecutor(..., fuse=False)``) and
-from the scalar fast engine, which the three-way battery in
-``test_differential.py`` already pins to the event-driven reference.
+the per-cell vector replay (``SweepExecutor(..., fuse=False)``) and
+from the scalar event-driven reference engine.
 
 Three layers:
 
@@ -100,7 +99,7 @@ class TestBattery:
         specs = axis_family(name, size, mode)
         fused_exec, fused = sweep(specs, "vector", fuse=True)
         _, per_cell = sweep(specs, "vector", fuse=False)
-        _, scalar = sweep(specs, "fast")
+        _, scalar = sweep(specs, "reference")
         assert fused == per_cell
         assert fused == scalar
         # The family must at least have reached the classifier: either
@@ -119,7 +118,7 @@ class TestFigureGrids:
         specs = grid_specs(iterations=3, grid=grid)
         fused_exec, fused = sweep(specs, "vector", fuse=True)
         _, per_cell = sweep(specs, "vector", fuse=False)
-        _, scalar = sweep(specs, "fast")
+        _, scalar = sweep(specs, "reference")
         assert fused == per_cell
         assert fused == scalar
         # One family per mode, all provably uncontended: the figure
@@ -137,7 +136,7 @@ class TestFigureGrids:
         edge_threads = {min(s.threads for s in specs),
                         max(s.threads for s in specs)}
         _, fused = sweep(specs, "vector", fuse=True)
-        _, scalar = sweep(specs, "fast")
+        _, scalar = sweep(specs, "reference")
         compared = 0
         for spec, ours, theirs in zip(specs, fused, scalar):
             if spec.threads in edge_threads:
@@ -159,7 +158,7 @@ class TestContendedFamilies:
                             TransferMode.UVM)
         fused_exec, fused = sweep(specs, "vector", fuse=True,
                                   system=system)
-        _, scalar = sweep(specs, "fast", system=system)
+        _, scalar = sweep(specs, "reference", system=system)
         assert fused == scalar
         stats = fused_exec.last
         rerouted = stats.families_rerouted \
@@ -239,6 +238,6 @@ def test_fuzz_fused_three_way(specs):
     equality must hold whichever path settled each spec."""
     _, fused = sweep(specs, "vector", fuse=True)
     _, per_cell = sweep(specs, "vector", fuse=False)
-    _, scalar = sweep(specs, "fast")
+    _, scalar = sweep(specs, "reference")
     assert fused == per_cell
     assert fused == scalar

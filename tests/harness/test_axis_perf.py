@@ -3,20 +3,27 @@
 Gate: on a cold Fig. 12 threads grid at the paper's 30-iteration
 distribution depth, the vector engine with axis fusion
 (``SweepExecutor(engine="vector")``) completes >= 3x faster than the
-same engine with fusion disabled (``fuse=False`` — exactly PR 7's
-per-cell replay: one compiled program per coordinate group, one scalar
-replay per spec).  Both legs run the identical ``repro bench`` cold
-protocol (:func:`repro.harness.regression.measure_engine`), and the
-differential battery pins them bit-identical, so the ratio isolates
-the fused family replay itself.
+same engine with fusion disabled (``fuse=False`` — per-cell replay:
+one compiled program per coordinate group, one scalar replay per
+spec).  Both legs run the interleaved cold CPU-time protocol of
+:func:`repro.harness.regression.cold_cpu_samples`: every repeat runs
+the fused leg and then the per-cell leg, each timed with
+``time.process_time``, so a concurrent load on a shared box neither
+inflates one leg nor lands on one leg's samples only.  The
+measurement runs in a freshly spawned interpreter
+(:func:`~repro.harness.regression.in_fresh_interpreter`), as a
+``repro figure`` run does, so the heap earlier tests left behind does
+not slow one leg more than the other.  The differential battery pins
+the legs bit-identical, so the ratio isolates the fused family replay
+itself.
 
 The gate measures at ``iterations=30`` rather than the bench default
 of 10: fusion changes the *marginal* per-spec cost (~5us fused vs
 ~28us per-cell on the development box), while fixed costs (phase
 prewarm, per-family compiles) are shared by both legs and dominate
-shorter grids.  At 900 specs the dev-box ratio is ~3.1-3.8x cold; the
-3x floor leaves the fixed-cost overhead visible but gates the
-marginal win.
+shorter grids.  At 900 specs the ratio on a 2-vCPU box is ~3.2-3.6x
+cold; the 3x floor leaves the fixed-cost overhead visible but gates
+the marginal win.
 
 The run writes a stable summary to
 ``benchmarks/results/axis_speedup.txt`` next to the committed
@@ -32,14 +39,16 @@ from repro.harness import regression
 
 RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
-#: Cold sweeps per leg: min() of the series discards scheduler noise,
-#: which only ever slows a run down.
-REPEATS = 5
+#: Interleaved cold rounds: min() of each leg's series discards
+#: noise, which only ever slows a sweep down; 30 rounds (about a
+#: second) let both minima come from quiet stretches of a shared box.
+REPEATS = 60
 
 
 @pytest.mark.perf
 def test_axis_fusion_3x_over_per_cell_vector_on_fig12_grid():
-    axis = regression.measure_axis_speedup(
+    axis = regression.in_fresh_interpreter(
+        regression.measure_axis_speedup,
         iterations=regression.AXIS_GATE_ITERATIONS, repeats=REPEATS)
 
     # Every family on the fig12 grid must actually take the fused

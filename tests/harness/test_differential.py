@@ -1,13 +1,13 @@
-"""Engine equivalence battery: reference vs fast vs vector.
+"""Engine equivalence battery: reference vs vector vs compiled replay.
 
-The fast engine (:class:`repro.sim.fastpath.FastEnvironment`) is only
-allowed to skip event machinery it can *prove* unobservable, and the
-vector engine (:mod:`repro.sim.vecgrid`) replays programs analytically
-with a contention classifier that reroutes anything ambiguous — so
-every simulated quantity on every engine — phase times, wall clock,
-timeline events, CUPTI counters, UVM fault-batch counts and migration
-volumes — must be **bit-identical** to the reference engine, not
-merely close.  This module is the proof battery: a curated
+The vector engine (:mod:`repro.sim.vecgrid`) replays programs
+analytically with a contention classifier that reroutes anything
+ambiguous to the reference event engine, and the sweep executor goes
+one step further: it compiles a program once and replays the compiled
+tape per seed.  Every simulated quantity on every path — phase times,
+wall clock, timeline events, CUPTI counters, UVM fault-batch counts
+and migration volumes — must be **bit-identical** to the reference
+engine, not merely close.  This module is the proof battery: a curated
 workload x mode grid run three ways, a timeline-level comparison
 (every recorded event, every kernel execution), and a hypothesis fuzz
 over synthetic programs.
@@ -22,17 +22,20 @@ from hypothesis import strategies as st
 
 from repro.core.configs import TransferMode
 from repro.core.execution import (ENGINES, _explicit_process,
-                                  _managed_process, execute_program,
-                                  make_runtime)
+                                  _managed_process, compile_program,
+                                  execute_program, make_runtime,
+                                  replay_result)
 from repro.sim.calibration import default_calibration
 from repro.sim.hardware import default_system
 from repro.sim.kernel import AccessPattern, KernelDescriptor
 from repro.sim.program import simple_program
+from repro.sim.vecgrid import ContentionDetected
 from repro.workloads.registry import get_workload
 from repro.workloads.sizes import SizeClass
 
 MODES = list(TransferMode)
-ENGINE_NAMES = tuple(ENGINES)  # reference, fast, vector
+#: Every engine checked against the reference oracle.
+OTHER_ENGINES = tuple(name for name in ENGINES if name != "reference")
 
 # Micro kernels at the paper's largest class, applications at LARGE:
 # together they exercise explicit trains, prefetch trains, demand
@@ -56,6 +59,20 @@ def run_once(program, mode, engine, size):
                            size_label=size.label)
 
 
+def replay_once(program, mode, seed=7, size_label=""):
+    """The executor's grid path: compile once, replay one seed.
+
+    ``None`` when the classifier bails on contention (the executor
+    then reroutes that spec to the per-spec path)."""
+    system, calib = default_system(), default_calibration()
+    compiled = compile_program(program, mode, system, calib)
+    try:
+        return replay_result(compiled, mode, np.random.default_rng(seed),
+                             system, calib, size_label, seed)
+    except ContentionDetected:
+        return None
+
+
 class TestBattery:
     @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
     @pytest.mark.parametrize("name,size", BATTERY,
@@ -66,24 +83,26 @@ class TestBattery:
             pytest.skip(f"{name} undefined at {size.label}")
         program = workload.program(size)
         ref = run_once(program, mode, "reference", size)
-        for engine in ENGINE_NAMES:
-            if engine == "reference":
-                continue
-            other = run_once(program, mode, engine, size)
+        others = {engine: run_once(program, mode, engine, size)
+                  for engine in OTHER_ENGINES}
+        replayed = replay_once(program, mode, size_label=size.label)
+        if replayed is not None:
+            others["compiled replay"] = replayed
+        for path, other in others.items():
             # Dataclass equality covers every timing field and the full
             # counter report (per-kernel instruction mixes, miss rates,
             # DRAM traffic, occupancy) — all bitwise, no tolerances.
-            assert other == ref, engine
-            assert other.breakdown() == ref.breakdown(), engine
-            assert other.total_ns == ref.total_ns, engine
+            assert other == ref, path
+            assert other.breakdown() == ref.breakdown(), path
+            assert other.total_ns == ref.total_ns, path
 
 
 def run_runtime(program, mode, engine):
     """execute_program's internals, exposing the runtime itself.
 
-    ``make_runtime`` builds the event runtime for reference/fast and
-    the analytic :class:`repro.sim.vecgrid.AnalyticRuntime` for
-    vector — both :class:`CudaRuntime` subclasses exposing the same
+    ``make_runtime`` builds the event runtime for reference and the
+    analytic :class:`repro.sim.vecgrid.AnalyticRuntime` for vector —
+    both :class:`CudaRuntime` subclasses exposing the same
     timeline/executions/counters surface.
     """
     system, calib = default_system(), default_calibration()
@@ -104,12 +123,12 @@ class TestTimelineLevel:
     def test_every_trace_event_identical(self, mode):
         program = get_workload("hotspot").program(SizeClass.LARGE)
         ref = run_runtime(program, mode, "reference")
-        for engine in ("fast", "vector"):
+        for engine in OTHER_ENGINES:
             other = run_runtime(program, mode, engine)
             assert other.timeline.events == ref.timeline.events, engine
             assert other.env.now == ref.env.now, engine
 
-    @pytest.mark.parametrize("engine", ("fast", "vector"))
+    @pytest.mark.parametrize("engine", OTHER_ENGINES)
     @pytest.mark.parametrize("mode",
                              [TransferMode.UVM, TransferMode.UVM_PREFETCH,
                               TransferMode.UVM_PREFETCH_ASYNC],
@@ -141,7 +160,7 @@ class TestTimelineLevel:
         program = get_workload("gemm").program(SizeClass.LARGE)
         for mode in MODES:
             ref = run_runtime(program, mode, "reference")
-            for engine in ("fast", "vector"):
+            for engine in OTHER_ENGINES:
                 assert run_runtime(program, mode,
                                    engine).counters == ref.counters, engine
 
@@ -182,12 +201,16 @@ def programs(draw):
        seed=st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_fuzz_three_way(program, mode, seed):
-    """Reference vs fast vs vector over synthetic programs.
+    """Reference vs vector vs compiled replay over synthetic programs.
 
     The vector leg also exercises the contention-fallback path: when
     the classifier bails, execute_program reroutes on the snapshotted
     RNG state, so the result must *still* be bitwise reference."""
-    ref = execute_program(program, mode, seed=seed, engine="reference")
-    for engine in ("fast", "vector"):
+    ref = dataclasses.asdict(
+        execute_program(program, mode, seed=seed, engine="reference"))
+    for engine in OTHER_ENGINES:
         other = execute_program(program, mode, seed=seed, engine=engine)
-        assert dataclasses.asdict(other) == dataclasses.asdict(ref), engine
+        assert dataclasses.asdict(other) == ref, engine
+    replayed = replay_once(program, mode, seed=seed)
+    if replayed is not None:
+        assert dataclasses.asdict(replayed) == ref

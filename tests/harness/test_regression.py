@@ -80,7 +80,7 @@ class TestReport:
 # ======================================================================
 # Perf-trajectory benchmarking (``repro bench``)
 # ======================================================================
-def fake_bench(engines=("fast", "vector"), fingerprint="f" * 40,
+def fake_bench(engines=("reference", "vector"), fingerprint="f" * 40,
                scale=1.0, grid_extra=None):
     """A synthetic, schema-valid snapshot with controllable timings."""
     grid = {"figure": "fig12-threads", "specs": 30, "iterations": 1}
@@ -112,11 +112,12 @@ class TestBenchGrid:
 class TestCollectBench:
     @pytest.fixture(scope="class")
     def payload(self):
-        return collect_bench(repeats=2, iterations=1)
+        return collect_bench(engines=("reference", "vector"), repeats=2,
+                             iterations=1)
 
     def test_schema_and_series_shape(self, payload):
         validate_bench(payload)  # must not raise
-        assert set(payload["engines"]) == {"fast", "vector"}
+        assert set(payload["engines"]) == {"reference", "vector"}
         for samples in payload["engines"].values():
             assert len(samples["cold_s"]) == 2
             assert len(samples["warm_s"]) == 2
@@ -128,8 +129,8 @@ class TestCollectBench:
 
     def test_render_mentions_every_engine(self, payload):
         rendered = render_bench(payload)
-        assert "fast" in rendered and "vector" in rendered
-        assert "vector speedup vs fast" in rendered
+        assert "reference" in rendered and "vector" in rendered
+        assert "vector speedup vs reference" in rendered
 
     def test_rejects_zero_repeats(self):
         with pytest.raises(ValueError, match="repeats"):
@@ -162,8 +163,8 @@ class TestBenchRoundTrip:
         (lambda p: p.update(kind="calibration"), "kind"),
         (lambda p: p.pop("grid"), "grid"),
         (lambda p: p.update(engines={}), "no engine samples"),
-        (lambda p: p["engines"]["fast"].update(cold_s=[]), "cold_s"),
-        (lambda p: p["engines"]["fast"].update(warm_s=[0.1, -1.0]),
+        (lambda p: p["engines"]["reference"].update(cold_s=[]), "cold_s"),
+        (lambda p: p["engines"]["reference"].update(warm_s=[0.1, -1.0]),
          "warm_s"),
     ])
     def test_validate_rejects_malformed(self, mutate, match):
@@ -239,9 +240,17 @@ class TestCompareBench:
 
     def test_missing_engine_is_a_note_not_a_failure(self):
         report = compare_bench(fake_bench(),
-                               fake_bench(engines=("fast",)))
+                               fake_bench(engines=("reference",)))
         assert report.passed
         assert any("vector" in note for note in report.notes)
+        assert len(report.comparisons) == 2
+
+    def test_baseline_only_engine_is_a_note(self):
+        report = compare_bench(fake_bench(engines=("vector",)),
+                               fake_bench(engines=("retired", "vector")))
+        assert report.passed
+        assert any("'retired' was not measured" in note
+                   for note in report.notes)
         assert len(report.comparisons) == 2
 
     def test_environment_and_grid_mismatch_are_advisory(self):

@@ -1,4 +1,4 @@
-"""Unit battery for the fair-share scheduler and circuit breaker.
+"""Unit battery for the fair-share scheduler.
 
 The executor is faked: ``execute_batch`` stubs record what the
 scheduler dispatched and settle synthetic outcomes, so these tests pin
@@ -9,90 +9,14 @@ without paying for real sweeps.
 import asyncio
 import threading
 
-import pytest
-
 from repro.harness.resilience import SpecOutcome, SpecStatus, SweepOutcome
-from repro.service import CircuitBreaker, FairShareScheduler
+from repro.service import FairShareScheduler
 
 
-def outcome_for(spec, status=SpecStatus.OK, from_cache=False):
-    return SpecOutcome(spec=spec, index=0, status=status,
-                       from_cache=from_cache, attempts=1)
-
-
-def ok_batch(specs, engine):
-    return SweepOutcome(outcomes=[outcome_for(spec) for spec in specs])
-
-
-# ----------------------------------------------------------------------
-# Circuit breaker
-# ----------------------------------------------------------------------
-class TestCircuitBreaker:
-    def test_reference_engine_makes_it_inert(self):
-        breaker = CircuitBreaker("reference", threshold=1)
-        for _ in range(5):
-            breaker.record(outcome_for(None, SpecStatus.FAILED))
-        assert breaker.state == "closed"
-        assert breaker.select() == "reference"
-        assert not breaker.active
-
-    def test_trips_after_threshold_consecutive_failures(self):
-        breaker = CircuitBreaker("fast", threshold=3)
-        breaker.record(outcome_for(None, SpecStatus.FAILED))
-        breaker.record(outcome_for(None, SpecStatus.FAILED))
-        assert breaker.select() == "fast"  # not yet
-        breaker.record(outcome_for(None, SpecStatus.FAILED))
-        assert breaker.state == "open"
-        assert breaker.select() == "reference"
-        assert breaker.trips == 1
-
-    def test_success_resets_the_failure_streak(self):
-        breaker = CircuitBreaker("fast", threshold=2)
-        breaker.record(outcome_for(None, SpecStatus.FAILED))
-        breaker.record(outcome_for(None))  # streak broken
-        breaker.record(outcome_for(None, SpecStatus.FAILED))
-        assert breaker.state == "closed"
-
-    def test_cache_hits_and_skips_say_nothing(self):
-        breaker = CircuitBreaker("fast", threshold=1)
-        breaker.record(outcome_for(None, SpecStatus.FAILED,
-                                   from_cache=True))
-        breaker.record(outcome_for(None, SpecStatus.SKIPPED))
-        assert breaker.state == "closed"
-
-    def test_recovery_path_reopens_then_closes(self):
-        breaker = CircuitBreaker("fast", threshold=1, recovery=2)
-        breaker.record(outcome_for(None, SpecStatus.TIMED_OUT))
-        assert breaker.state == "open"
-        breaker.record(outcome_for(None))  # fallback success 1
-        assert breaker.state == "open"
-        breaker.record(outcome_for(None))  # fallback success 2
-        assert breaker.state == "half_open"
-        assert breaker.select() == "fast"  # probing the real engine
-        breaker.record(outcome_for(None))
-        assert breaker.state == "closed"
-
-    def test_half_open_failure_retrips(self):
-        breaker = CircuitBreaker("fast", threshold=1, recovery=1)
-        breaker.record(outcome_for(None, SpecStatus.FAILED))
-        breaker.record(outcome_for(None))  # -> half_open
-        assert breaker.state == "half_open"
-        breaker.record(outcome_for(None, SpecStatus.FAILED))
-        assert breaker.state == "open"
-        assert breaker.trips == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker("fast", threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker("fast", recovery=0)
-
-    def test_snapshot_shape(self):
-        snapshot = CircuitBreaker("vector").snapshot()
-        assert snapshot == {"state": "closed", "configured": "vector",
-                            "serving": "vector", "trips": 0,
-                            "consecutive_failures": 0,
-                            "fallback_successes": 0}
+def ok_batch(specs):
+    return SweepOutcome(outcomes=[
+        SpecOutcome(spec=spec, index=0, status=SpecStatus.OK, attempts=1)
+        for spec in specs])
 
 
 # ----------------------------------------------------------------------
@@ -103,9 +27,9 @@ class TestDedup:
         async def scenario():
             release = threading.Event()
 
-            def execute(specs, engine):
+            def execute(specs):
                 release.wait(5)
-                return ok_batch(specs, engine)
+                return ok_batch(specs)
 
             scheduler = FairShareScheduler(execute, batch_size=4, slots=1)
             # Occupy the slot so later submissions stay queued.
@@ -131,11 +55,11 @@ class TestFairShare:
             release = threading.Event()
             batches = []
 
-            def execute(specs, engine):
+            def execute(specs):
                 batches.append(list(specs))
                 if specs == ["plug"]:
                     release.wait(5)
-                return ok_batch(specs, engine)
+                return ok_batch(specs)
 
             scheduler = FairShareScheduler(execute, batch_size=4, slots=1)
             scheduler.submit("ops", "plug", "key-plug")
@@ -160,9 +84,9 @@ class TestAbandon:
         async def scenario():
             release = threading.Event()
 
-            def execute(specs, engine):
+            def execute(specs):
                 release.wait(5)
-                return ok_batch(specs, engine)
+                return ok_batch(specs)
 
             scheduler = FairShareScheduler(execute, batch_size=4, slots=1)
             scheduler.submit("ops", "plug", "key-plug")
@@ -186,9 +110,9 @@ class TestAbandon:
         async def scenario():
             release = threading.Event()
 
-            def execute(specs, engine):
+            def execute(specs):
                 release.wait(5)
-                return ok_batch(specs, engine)
+                return ok_batch(specs)
 
             scheduler = FairShareScheduler(execute, batch_size=4, slots=1)
             scheduler.submit("ops", "plug", "key-plug")
@@ -207,9 +131,9 @@ class TestAbandon:
         async def scenario():
             release = threading.Event()
 
-            def execute(specs, engine):
+            def execute(specs):
                 release.wait(5)
-                return ok_batch(specs, engine)
+                return ok_batch(specs)
 
             scheduler = FairShareScheduler(execute, batch_size=4, slots=1)
             scheduler.submit("ops", "plug", "key-plug")
@@ -227,10 +151,10 @@ class TestAbandon:
 class TestContainment:
     def test_wholesale_batch_error_settles_its_own_jobs_only(self):
         async def scenario():
-            def execute(specs, engine):
+            def execute(specs):
                 if "poison" in specs:
                     raise RuntimeError("executor exploded")
-                return ok_batch(specs, engine)
+                return ok_batch(specs)
 
             scheduler = FairShareScheduler(execute, batch_size=1, slots=1)
             poisoned, _ = scheduler.submit("alice", "poison", "key-p")
@@ -247,7 +171,7 @@ class TestContainment:
 
     def test_torn_batch_is_a_contained_failure(self):
         async def scenario():
-            def execute(specs, engine):
+            def execute(specs):
                 return SweepOutcome(outcomes=[])  # wrong cardinality
 
             scheduler = FairShareScheduler(execute, batch_size=2, slots=1)
@@ -278,9 +202,9 @@ class TestDrain:
             release = threading.Event()
             settled = []
 
-            def execute(specs, engine):
+            def execute(specs):
                 release.wait(5)
-                return ok_batch(specs, engine)
+                return ok_batch(specs)
 
             scheduler = FairShareScheduler(
                 execute, batch_size=1, slots=1,

@@ -4,11 +4,10 @@ Every test starts the actual asyncio server, talks to it over real
 sockets, and asserts the contract ``docs/SERVICE.md`` documents:
 bit-identical results, hot/disk cache behaviour, in-flight dedup,
 fair-share scheduling, 429 load shedding, deadline partials, failure
-containment, breaker fallback, and drain/resume checkpointing.
+containment, and drain/resume checkpointing.
 """
 
 import asyncio
-import json
 
 from repro.harness import faults
 from repro.service import (AdmissionLimits, ReproService, ServiceConfig,
@@ -40,7 +39,8 @@ class TestEndpoints:
                 assert (status, payload["status"]) == (200, "ready")
                 status, _, payload = await http(port, "GET", "/stats")
                 assert status == 200
-                assert payload["scheduler"]["breaker"]["state"] == "closed"
+                assert payload["engine"] == "vector"
+                assert "breaker" not in payload["scheduler"]
                 assert payload["admission"]["pending_specs"] == 0
 
                 status, _, _ = await http(port, "GET", "/nope")
@@ -341,34 +341,6 @@ class TestContainment:
         failed = [entry for entry in payload["specs"]
                   if entry["status"] == "failed"][0]
         assert "quarantined" in failed["error"]
-
-    def test_breaker_trips_to_reference_and_recovers(self, tmp_path):
-        async def scenario():
-            async with live_service(tmp_path, engine="fast",
-                                    breaker_threshold=2,
-                                    breaker_recovery=1, slots=1,
-                                    jobs=1, batch_size=2) as service:
-                specs = grid_specs()
-                faults.install(plan_for(specs, faults.KIND_FAIL))
-                broken = await sweep(service.port, "alice", grid=GRID)
-                tripped = service.breaker.snapshot()
-                faults.clear()
-                fresh = [{"workload": "saxpy", "size": "tiny",
-                          "iteration": 20 + i} for i in range(4)]
-                healed = await sweep(service.port, "alice", specs=fresh)
-                return broken, tripped, healed, service.breaker.snapshot()
-
-        (bs, _, bp), tripped, (hs, _, hp), recovered = asyncio.run(scenario())
-        assert bs == 206
-        assert bp["counts"] == {"failed": 8}
-        assert tripped["state"] == "open"
-        assert tripped["trips"] == 1
-        assert tripped["serving"] == "reference"  # degraded, still up
-        assert hs == 200
-        assert hp["complete"] is True
-        # Fallback successes re-arm the configured engine.
-        assert recovered["state"] == "closed"
-        assert recovered["serving"] == "fast"
 
 
 # ----------------------------------------------------------------------

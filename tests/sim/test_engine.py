@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import (AllOf, Environment, Event, Resource,
+from repro.sim.engine import (AllOf, Deadline, Environment, Resource,
                               SimulationError, Timeout)
 
 
@@ -215,3 +215,143 @@ class TestRunUntil:
 
     def test_run_empty_heap_returns_now(self, env):
         assert env.run() == 0.0
+
+    def test_run_until_leaves_later_events_queued(self, env):
+        env.timeout(10.0)
+        env.timeout(100.0)
+        assert env.run(until=50.0) == 50.0
+        assert env.now == 50.0
+        assert env.run() == 100.0
+
+
+# ----------------------------------------------------------------------
+# Timeout / Deadline trigger-guard regression (the historical bug)
+# ----------------------------------------------------------------------
+class TestTriggerGuard:
+    def test_event_types(self, env):
+        assert isinstance(env.timeout(1.0), Timeout)
+        assert isinstance(env.timeout_until(1.0), Deadline)
+
+    def test_timeout_succeed_after_creation_raises(self, env):
+        """A Timeout is born triggered; ``succeed`` must raise instead
+        of double-scheduling it (the historical guard-bypass bug)."""
+        timeout = env.timeout(5.0)
+        with pytest.raises(SimulationError):
+            timeout.succeed()
+
+    def test_timeout_not_double_scheduled(self, env):
+        timeout = env.timeout(5.0)
+        with pytest.raises(SimulationError):
+            timeout.succeed()
+        fired = []
+        timeout.callbacks.append(lambda e: fired.append(env.now))
+        env.run()
+        assert fired == [5.0]  # exactly once, at the original delay
+
+    def test_deadline_succeed_after_creation_raises(self, env):
+        deadline = env.timeout_until(5.0)
+        with pytest.raises(SimulationError):
+            deadline.succeed()
+
+    def test_deadline_fires_at_absolute_time(self, env):
+        first = env.timeout(2.0)
+        seen = []
+        env.timeout_until(7.25).callbacks.append(
+            lambda e: seen.append(env.now))
+        env.run()
+        assert first.processed
+        assert seen == [7.25]
+
+    def test_deadline_in_past_rejected(self, env):
+        env.timeout(10.0)
+        env.run()
+        with pytest.raises(SimulationError):
+            env.timeout_until(5.0)
+
+
+# ----------------------------------------------------------------------
+# Chunk trains: boundary arithmetic and contention semantics
+# ----------------------------------------------------------------------
+def run_stream(count, total, start_delay=0.0):
+    env = Environment()
+    resource = Resource(env, capacity=1, name="r")
+    out = {}
+
+    def proc():
+        if start_delay:
+            yield env.timeout(start_delay)
+        out["span"] = yield from resource.stream(count, total)
+
+    env.run_process(proc(), name="train")
+    return env, resource, out["span"]
+
+
+class TestStreamTrains:
+    # Awkward floats whose iterated-addition sum differs from the
+    # analytic product — the reason boundaries are absolute deadlines.
+    @pytest.mark.parametrize("total", [103.0, 1234.567891, 0.1, 3.0e7 / 7])
+    @pytest.mark.parametrize("count", [1, 2, 3, 17, 128])
+    def test_train_end_bit_identical_to_monolithic(self, count, total):
+        _, _, (start1, end1) = run_stream(1, total, start_delay=13.25)
+        _, _, (startn, endn) = run_stream(count, total, start_delay=13.25)
+        assert startn == start1
+        assert endn == end1  # bitwise: absolute boundaries, 1.0 factor
+
+    def test_zero_chunks_is_noop(self):
+        env, resource, (start, end) = run_stream(0, 55.0)
+        assert (start, end) == (0.0, 0.0)
+        assert env.now == 0.0
+        assert resource.in_use == 0
+
+    def test_negative_rejected(self):
+        env = Environment()
+        resource = Resource(env, capacity=1)
+        with pytest.raises(SimulationError):
+            env.run_process(resource.stream(-1, 5.0))
+        env = Environment()
+        resource = Resource(env, capacity=1)
+        with pytest.raises(SimulationError):
+            env.run_process(resource.stream(2, -5.0))
+
+    def test_contended_trains_interleave_per_chunk(self, env):
+        """Two trains on a capacity-1 resource share it chunk by chunk,
+        and the late one re-anchors its boundaries at its first grant."""
+        resource = Resource(env, capacity=1, name="link")
+        spans = {}
+
+        def train(tag, count, total, delay):
+            if delay:
+                yield env.timeout(delay)
+            spans[tag] = yield from resource.stream(count, total)
+
+        env.process(train("a", 4, 100.0, 0.0), name="a")
+        env.process(train("b", 4, 100.0, 10.0), name="b")
+        env.run()
+        # b arrives at t=10 but only gets its first grant at a's first
+        # chunk boundary (t=25); from there its absolute boundaries run
+        # 50, 75, 100, 125 while a's remaining chunks catch up to their
+        # own (already-passed) deadlines in zero time.
+        assert spans["b"] == (25.0, 125.0)
+        assert env.now == 125.0
+
+    def test_contended_first_grant_waits(self, env):
+        """A second requester arriving mid-train queues until the
+        in-flight chunk releases, not until the whole train ends."""
+        resource = Resource(env, capacity=1, name="link")
+        grants = []
+
+        def train():
+            yield from resource.stream(10, 100.0)
+
+        def interloper():
+            yield env.timeout(5.0)
+            yield resource.request()
+            grants.append(env.now)
+            resource.release()
+
+        env.process(train(), name="train")
+        env.process(interloper(), name="interloper")
+        env.run()
+        # chunk boundaries are at 10, 20, ... the interloper (t=5)
+        # gets the resource at the first boundary, not at 100.
+        assert grants == [10.0]

@@ -16,7 +16,8 @@ Three contracts, each pinned with Hypothesis:
 
 * **Compiled replay**: :func:`repro.core.execution.compile_program` +
   :func:`replay_result` — the whole-grid batching the executor uses —
-  must be bit-identical to the fast engine for the same seed stream.
+  must be bit-identical to the reference engine for the same seed
+  stream.
 """
 
 import dataclasses
@@ -150,7 +151,7 @@ def test_phase_cells_cover_real_sweeps():
         memo = PhaseMemo(SYSTEM, CALIB)
         prewarm_phase_memo(
             memo, iter_phase_cells(program, mode, None, SYSTEM))
-        execute_program(program, mode, seed=3, engine="fast",
+        execute_program(program, mode, seed=3, engine="reference",
                         phase_memo=memo)
         assert memo.misses == 0, mode
 
@@ -242,8 +243,8 @@ def test_copy_engine_queueing_is_contention_and_falls_back():
 @given(program=programs(), mode=st.sampled_from(MODES),
        seed=st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=40, deadline=None)
-def test_compiled_replay_bit_identical_to_fast(program, mode, seed):
-    """compile once + replay per seed == the fast engine, bitwise."""
+def test_compiled_replay_bit_identical_to_reference(program, mode, seed):
+    """compile once + replay per seed == the reference engine, bitwise."""
     compiled = compile_program(program, mode, SYSTEM, CALIB)
     rng = np.random.default_rng(seed)
     try:
@@ -251,8 +252,9 @@ def test_compiled_replay_bit_identical_to_fast(program, mode, seed):
                                  size_label="", seed=seed)
     except ContentionDetected:
         assume(False)
-    fast = execute_program(program, mode, seed=seed, engine="fast")
-    assert dataclasses.asdict(replayed) == dataclasses.asdict(fast)
+    reference = execute_program(program, mode, seed=seed,
+                                engine="reference")
+    assert dataclasses.asdict(replayed) == dataclasses.asdict(reference)
 
 
 def test_compiled_program_is_reusable_across_seeds():
@@ -267,7 +269,8 @@ def test_compiled_program_is_reusable_across_seeds():
                              SYSTEM, CALIB, size_label="", seed=seed)
                for seed in range(5)]
     for seed, result in enumerate(results):
-        expected = execute_program(program, mode, seed=seed, engine="fast")
+        expected = execute_program(program, mode, seed=seed,
+                                   engine="reference")
         assert result == expected
         assert result.counters is compiled.counters  # shared, immutable
     assert len({result.wall_ns for result in results}) == len(results)
