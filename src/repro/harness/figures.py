@@ -162,25 +162,23 @@ def comparison_sweep(workloads: Sequence[str], size: SizeClass,
     impossible).
     """
     return comparison_sweeps(workloads, (size,), iterations, base_seed,
-                             executor, skip_unsupported=False)[size.label]
+                             executor)[size.label]
 
 
 def comparison_sweeps(workloads: Sequence[str],
                       sizes: Sequence[SizeClass],
                       iterations: int = 30,
                       base_seed: int = 1234,
-                      executor: Optional[SweepExecutor] = None,
-                      skip_unsupported: bool = True
+                      executor: Optional[SweepExecutor] = None
                       ) -> Dict[str, Dict[str, ModeComparison]]:
     """:func:`comparison_sweep` for several sizes, keyed by size label.
 
     Every size runs in one executor pass, so a journal attached to the
     executor records the whole grid. Workloads that decline a size are
-    skipped there unless ``skip_unsupported`` is false.
+    skipped there.
     """
     specs = expand_grid(workloads, sizes, ALL_MODES,
-                        iterations=iterations, base_seed=base_seed,
-                        skip_unsupported=skip_unsupported)
+                        iterations=iterations, base_seed=base_seed)
     results = _run_partial(executor, specs)
     comparisons = collect_comparisons(r for r in results if r is not None)
     return {size.label: {name: comparisons[(name, size.label)]

@@ -321,11 +321,18 @@ def cold_cpu_samples(legs: Dict[str, Dict], specs: Sequence,
 def in_fresh_interpreter(fn: Callable, *args, **kwargs):
     """``fn(*args, **kwargs)`` evaluated in a newly spawned interpreter.
 
-    The ratio gates measure there.  A user's ``repro figure`` runs in a
-    fresh process, while a test session's process carries the heap of
-    every earlier test; on a 2-vCPU box that slowed the fused replay
-    leg ~15% and the per-cell leg not at all.  ``fn`` must be a
-    module-level function and its result picklable.
+    The ratio gates measure there, in the allocator state a ``repro
+    figure`` or ``repro sweep`` process starts from.  Both legs leave
+    the same ~13k small result blocks live, and in a process whose
+    small-object heap is fragmented (a test session, after thousands
+    of earlier tests) allocating them costs more: on a 2-vCPU box
+    with a CPU hog, a heap of 2M small dicts with 1 in 7 kept added
+    ~1.2-1.4 ms to each 900-spec leg, ~15% of the fused leg and ~5%
+    of the per-cell one (axis ratio 3.38x -> 3.08x, medians of 5),
+    while 400 MB of live NumPy buffers changed neither.  The engines'
+    own work is unchanged; an equal additive cost only dilutes their
+    ratio.
+    ``fn`` must be a module-level function and its result picklable.
     """
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:

@@ -12,10 +12,10 @@ the fused leg and then the per-cell leg, each timed with
 inflates one leg nor lands on one leg's samples only.  The
 measurement runs in a freshly spawned interpreter
 (:func:`~repro.harness.regression.in_fresh_interpreter`), as a
-``repro figure`` run does, so the heap earlier tests left behind does
-not slow one leg more than the other.  The differential battery pins
-the legs bit-identical, so the ratio isolates the fused family replay
-itself.
+``repro figure`` run does: in the small-object heap earlier tests
+leave fragmented, allocating the sweep's results costs both legs the
+same extra ~1 ms, which dilutes the ratio.  The differential battery pins the legs bit-identical, so the
+ratio isolates the fused family replay itself.
 
 The gate measures at ``iterations=30`` rather than the bench default
 of 10: fusion changes the *marginal* per-spec cost (~5us fused vs
@@ -40,8 +40,8 @@ from repro.harness import regression
 RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 #: Interleaved cold rounds: min() of each leg's series discards
-#: noise, which only ever slows a sweep down; 30 rounds (about a
-#: second) let both minima come from quiet stretches of a shared box.
+#: noise, which only ever slows a sweep down; this many rounds (a few
+#: seconds) let both minima come from quiet stretches of a shared box.
 REPEATS = 60
 
 

@@ -6,10 +6,10 @@ modes) under ``--engine vector`` completes >= 15x faster than under
 ``--engine reference``, the event-by-event oracle it falls back to.
 Both legs run the interleaved cold CPU-time protocol of
 :func:`repro.harness.regression.cold_cpu_samples` in a freshly spawned
-interpreter, so neither a concurrent load on the machine nor the heap
-earlier tests left behind inflates one leg.  The run is summarised to
-``benchmarks/results/grid_speedup.txt`` next to the committed
-trajectory; the ``BENCH_*.json`` trajectory itself only grows from
+interpreter, so neither a concurrent load on the machine nor the
+fragmented heap earlier tests left behind inflates one leg.  The run
+is summarised to ``benchmarks/results/grid_speedup.txt`` next to the
+committed trajectory; the ``BENCH_*.json`` trajectory itself only grows from
 deliberate ``repro bench`` runs.  On a 2-vCPU development box the
 ratio is ~80-110x cold (see docs/PERFORMANCE.md), so the 15x floor
 leaves headroom for loaded CI machines.

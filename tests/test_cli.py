@@ -433,6 +433,37 @@ class TestResilienceFlags:
         assert code == 130
         assert "--resume" in err  # points at the recovery path
 
+    def test_keyboard_interrupt_on_default_grid_path(self, capsys,
+                                                     monkeypatch,
+                                                     tmp_path):
+        from repro.harness.executor import SweepExecutor
+        cache_dir = str(tmp_path / "cache")
+        settle = SweepExecutor._settle
+        settled = []
+
+        def interrupt_third(self, outcome, *args, **kwargs):
+            if len(settled) == 2:
+                raise KeyboardInterrupt
+            settled.append(outcome.index)
+            return settle(self, outcome, *args, **kwargs)
+
+        # The default (vector) engine settles precomputed grid results
+        # in bulk; Ctrl-C there must still checkpoint what settled.
+        monkeypatch.setattr(SweepExecutor, "_settle", interrupt_third)
+        code = main(["figure", "6", "--iterations", "4",
+                     "--cache-dir", cache_dir])
+        err = capsys.readouterr().err
+        assert code == 130
+        assert "--resume" in err
+        assert settled == [0, 1]
+
+        monkeypatch.undo()
+        code = main(["figure", "6", "--iterations", "4",
+                     "--cache-dir", cache_dir, "--resume"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "2 cache hits, 2 executed" in out
+
     def test_resume_skips_journaled_failure(self, capsys, tmp_path):
         from repro.harness import faults
         cache_dir = str(tmp_path / "cache")
